@@ -31,7 +31,7 @@ from .norms import dirichlet_norm, hp_norm, xqp_norm
 from .rhalyop import (
     SequenceSpec,
     TruncatedRhaly,
-    apply_rhaly,
+    _apply_realized,
     generating_function,
     require_decreasing,
 )
@@ -295,11 +295,12 @@ def dpp_embedding_check(
         corpus = default_corpus()
     dirichlet_ratios = []
     xqp_ratios = []
+    ev = eta.values()
     for f in corpus:
         denom = hp_norm(f, p).value
         if denom == 0.0:
             continue
-        Rf = apply_rhaly(eta, f)
+        Rf = _apply_realized(ev, f)
         dirichlet_ratios.append(dirichlet_norm(Rf, p, p - 1.0).value / denom)
         if q is not None:
             xqp_ratios.append(xqp_norm(Rf, q, p).value / denom)

@@ -39,9 +39,21 @@ EXIT_SUITE_FAILED = 4
 
 
 def _read_json_arg(text: str) -> dict | list:
-    """Inline JSON, or the contents of a file when the argument names one."""
+    """Inline JSON, or the contents of a file when the argument names one.
+
+    Text that starts with '{' or '[' is always inline JSON, so it is never
+    probed as a path; an inline spec can be longer than the filename limit.
+    """
+    if text.lstrip()[:1] in ("{", "["):
+        return json.loads(text)
     candidate = Path(text)
-    if candidate.exists():
+    try:
+        is_file = candidate.is_file()
+    except OSError as exc:
+        raise ValueError(
+            f"cannot probe {text[:40]!r}... as a path: {exc.strerror}"
+        ) from exc
+    if is_file:
         return json.loads(candidate.read_text())
     return json.loads(text)
 

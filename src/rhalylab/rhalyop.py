@@ -150,7 +150,7 @@ class SequenceSpec:
             mom = (m[None, :] * t[None, :] ** n[:, None]).sum(axis=1)
             return mom.astype(complex)
         if self.kind == "signed":
-            return np.array(self.signs) * self.base.values()
+            return np.array(self.signs, dtype=np.int8) * self.base.values()
         raise AssertionError("unreachable")
 
     def is_certified_decreasing(self) -> bool:
@@ -233,12 +233,17 @@ class OpNormEstimate:
 
 def apply_rhaly(eta: SequenceSpec, f: CoeffSeq) -> CoeffSeq:
     """Coefficient n of the image is eta_n * sum_{k<=n} a_k."""
-    if f.degree > eta.truncation:
+    return _apply_realized(eta.values(), f)
+
+
+def _apply_realized(ev: np.ndarray, f: CoeffSeq) -> CoeffSeq:
+    """:func:`apply_rhaly` with eta already realized as ``ev = eta.values()``,
+    so callers applying one operator many times realize it once."""
+    if f.degree >= len(ev):
         raise TruncationMismatch(
-            f"degree {f.degree} exceeds sequence truncation {eta.truncation}"
+            f"degree {f.degree} exceeds sequence truncation {len(ev) - 1}"
         )
-    pref = prefix_sums(f)
-    return CoeffSeq(eta.values()[: f.degree + 1] * pref.coeffs)
+    return CoeffSeq(ev[: f.degree + 1] * prefix_sums(f).coeffs)
 
 
 def generating_function(eta: SequenceSpec) -> CoeffSeq:
@@ -280,20 +285,24 @@ def carleson_check(mu: DiscreteMeasure, radii) -> tuple[float, bool]:
 
 
 class TruncatedRhaly:
-    """Finite-rank truncation R_N: apply the operator, keep coefficients 0..N."""
+    """Finite-rank truncation R_N: apply the operator, keep coefficients 0..N.
+
+    eta is realized once, at construction, and shared by every application.
+    """
 
     def __init__(self, eta: SequenceSpec, N: int):
         if N > eta.truncation:
             raise TruncationMismatch(f"N={N} exceeds truncation {eta.truncation}")
         self.eta = eta
         self.N = N
+        self._ev = eta.values()
 
     def __call__(self, f: CoeffSeq) -> CoeffSeq:
-        return partial_sum(apply_rhaly(self.eta, f), self.N)
+        return partial_sum(_apply_realized(self._ev, f), self.N)
 
     def tail(self, f: CoeffSeq) -> CoeffSeq:
         """(R - R_N) f, the operator realized by zeroing eta_0..eta_N."""
-        full = apply_rhaly(self.eta, f)
+        full = _apply_realized(self._ev, f)
         out = full.coeffs.copy()
         out[: min(self.N + 1, len(out))] = 0
         return CoeffSeq(out)
@@ -306,6 +315,12 @@ def truncated_operator(eta: SequenceSpec, N: int) -> TruncatedRhaly:
 # --- l2 operator norm via matrix-free power iteration -------------------
 
 
+# Power iteration keeps plain np.cumsum rather than the compensated
+# prefix_sums kernel: the iteration does not accumulate matvec rounding. On
+# Cesaro sections, running both passes on the compensated kernel left the
+# iteration counts unchanged and moved the norm by at most 7e-16, while
+# running about 3x slower (6.9 -> 20.5 ms at N=4096, 147 -> 423 ms at
+# N=65536, one core of a 2-core Xeon).
 def _section_matvec(eta_vals: np.ndarray, v: np.ndarray) -> np.ndarray:
     return eta_vals * np.cumsum(v)
 
@@ -426,11 +441,12 @@ def opnorm_lower_hp(
     """Certified lower bound: max over candidates of ||R f||_{H^p} / ||f||_{H^p}."""
     best_ratio = 0.0
     best_witness = None
+    ev = eta.values()
     for f in _family_candidates(eta, family, budget, seed):
         denom = hp_norm(f, p).value
         if denom == 0.0:
             continue
-        ratio = hp_norm(apply_rhaly(eta, f), p).value / denom
+        ratio = hp_norm(_apply_realized(ev, f), p).value / denom
         if ratio > best_ratio:
             best_ratio = ratio
             best_witness = f

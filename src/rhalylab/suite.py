@@ -413,7 +413,9 @@ def criterion_11() -> CriterionResult:
     with T=4096 the truncation, and beta(r) = (1-r)^{1/2} M_2(r, g_N'). The
     values are checked against its maximum over the same 14 dyadic radii.
     Theory gives beta_sup(g_N) ~ N^{-(s-1)} = N^{-1/2}, so the log-log slope
-    of the values against N is checked against -(s-1).
+    of the values against N is checked against -(s-1), and must also show a
+    measured decay (slope < -0.05): near s=1 the predicted rate is itself
+    about 0, and a flat profile (slope -0.048 at s=1.0) would otherwise pass.
 
     An earlier form of this criterion required the N=512 value to fall below
     5% of the N=8 value. At rate N^{-1/2} the expected ratio over 8..512 is
@@ -453,8 +455,9 @@ def criterion_11() -> CriterionResult:
         ),
         _check(
             "decay_rate",
-            abs(slope - rate) < 0.05,
-            f"slope={slope:.6g} rate={rate:.6g} gap={abs(slope - rate):.3g}",
+            slope < -0.05 and abs(slope - rate) < 0.05,
+            f"slope={slope:.6g} (decay needs < -0.05) rate={rate:.6g} "
+            f"gap={abs(slope - rate):.3g}",
         ),
     ]
     ctrl = partial_sum_convergence(

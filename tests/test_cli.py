@@ -67,6 +67,28 @@ def test_bad_input_exits_2(capsys):
     assert code == 2
 
 
+def test_long_inline_spec_matches_file_form(tmp_path, capsys):
+    # longer than the filename limit: must not be probed as a path
+    rng = np.random.default_rng(5)
+    spec = json.dumps({
+        "kind": "signed",
+        "truncation": 8191,
+        "base": {"kind": "cesaro", "truncation": 8191},
+        "signs": rng.choice([-1, 1], size=8192).tolist(),
+    })
+    assert len(spec) > 4096
+    path = tmp_path / "signed.json"
+    path.write_text(spec)
+    code_inline, out_inline, _ = run_cli(capsys, "profile", "--spec", spec, "--p", "2")
+    code_file, out_file, _ = run_cli(capsys, "profile", "--spec", str(path), "--p", "2")
+    assert code_inline == code_file == 0
+    assert out_inline == out_file
+    # a path probe that fails (name too long) is an input error, not a crash
+    code, _, err = run_cli(capsys, "profile", "--spec", "x" * 5000, "--p", "2")
+    assert code == 2
+    assert "error" in err
+
+
 def test_counterexample_writes_files(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "counterexample", "--p", "1.5", "--grid-J", "6", "--seed", "7",

@@ -1,0 +1,98 @@
+"""Property tests for the operator kernel: compensated prefix sums against
+math.fsum, the adjoint identity, and linearity."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from rhalylab import coeffcore
+from rhalylab.coeffcore import CoeffSeq, prefix_sums
+from rhalylab.rhalyop import SequenceSpec, _section_rmatvec, apply_rhaly
+
+U = 2.0**-53
+C = coeffcore._PREFIX_CHUNK
+
+
+def gamma(k: int) -> float:
+    return k * U / (1.0 - k * U)
+
+
+@st.composite
+def cancelling_series(draw):
+    """Complex coefficients over many binades whose sums cancel heavily,
+    at lengths around the chunk boundaries of the kernel."""
+    n = draw(st.sampled_from((1, C - 1, C, C + 1, 3 * C + 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.integers(0, 60))
+
+    def part():
+        x = rng.standard_normal(n) * 2.0 ** rng.integers(-spread, spread + 1, n)
+        # pair each term with its negative, slightly perturbed, in random order
+        half = n // 2
+        x[half : 2 * half] = -x[:half] * (1.0 + 1e-9 * rng.standard_normal(half))
+        return x[rng.permutation(n)]
+
+    return part() + 1j * part()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cancelling_series(), st.data())
+def test_prefix_sums_within_sum2_bound_of_fsum(a, data):
+    """|res - s| <= u|s| + gamma_{n-1}^2 sum|a| (Ogita-Rump-Oishi, Prop. 4.5);
+    fsum returns s rounded once, hence 2u|s| against it."""
+    out = prefix_sums(CoeffSeq(a)).coeffs
+    n = len(a)
+    picks = {n - 1} | {i for i in (C - 2, C - 1, C, 2 * C) if i < n}
+    picks |= set(data.draw(st.lists(st.integers(0, n - 1), max_size=8)))
+    for i in sorted(picks):
+        for got, part in ((out[i].real, a.real), (out[i].imag, a.imag)):
+            head = part[: i + 1]
+            s = math.fsum(head)
+            bound = 2 * U * abs(s) + gamma(i) ** 2 * math.fsum(np.abs(head))
+            assert abs(got - s) <= bound, (n, i, got, s, bound)
+
+
+specs = st.one_of(
+    st.builds(SequenceSpec.cesaro, st.just(511)),
+    st.builds(
+        SequenceSpec.power_law,
+        st.floats(-4.0, 4.0), st.floats(0.0, 3.0), st.just(511),
+    ),
+    st.builds(
+        lambda signs: SequenceSpec.signed(SequenceSpec.cesaro(511), signs),
+        st.lists(st.sampled_from((-1, 1)), min_size=512, max_size=512),
+    ),
+)
+coeffs = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+pairs = st.integers(1, 512).flatmap(
+    lambda N: st.tuples(*[arrays(complex, N, elements=coeffs)] * 2)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs, pairs)
+def test_adjoint_identity(eta, vw):
+    """<R_N v, w> = <v, R_N* w> between apply_rhaly and the section adjoint."""
+    v, w = vw
+    ev = eta.values()[: len(v)]
+    lhs = np.vdot(w, apply_rhaly(eta, CoeffSeq(v)).coeffs)
+    rhs = np.vdot(_section_rmatvec(ev, w), v)
+    # both sides sum eta_n v_k conj(w_n) over k <= n, in different orders
+    scale = float(np.dot(np.abs(w), np.abs(ev) * np.cumsum(np.abs(v))))
+    assert abs(lhs - rhs) <= 8 * gamma(2 * len(v) + 4) * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs, coeffs, coeffs, pairs)
+def test_apply_is_linear(eta, alpha, beta, fg):
+    f, g = fg
+    lhs = apply_rhaly(eta, CoeffSeq(alpha * f + beta * g)).coeffs
+    Rf, Rg = apply_rhaly(eta, CoeffSeq(f)), apply_rhaly(eta, CoeffSeq(g))
+    rhs = alpha * Rf.coeffs + beta * Rg.coeffs
+    ev = np.abs(eta.values()[: len(f)])
+    scale = ev * np.cumsum(abs(alpha) * np.abs(f) + abs(beta) * np.abs(g))
+    # each side is within about 8u of the exact image, coefficientwise
+    assert np.all(np.abs(lhs - rhs) <= 32 * U * scale)
