@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .coeffcore import CircleGrid, CoeffSeq
 from .errors import RhalyError
 from .lipschitz import BlockProfile, MembershipVerdict, block_profile, classify_membership
-from .norms import NormReport, RadialGrid, bergman_norm, hp_norm, mean_mp
+from .norms import NormReport, bergman_norm, hp_norm, mean_mp
 from .rhalyop import (
     DiscreteMeasure,
     OpNormEstimate,
@@ -36,7 +36,6 @@ __all__ = [
     "block_profile",
     "classify_membership",
     "NormReport",
-    "RadialGrid",
     "bergman_norm",
     "hp_norm",
     "mean_mp",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffcore import CoeffSeq, block, derivative, partial_sum
-from .errors import AlphaRange, PRange
+from .errors import AlphaRange, PRange, TruncationMismatch
 from .lipschitz import (
     BIG_LAMBDA,
     DEFAULT_EPS_TAIL,
@@ -26,12 +26,13 @@ from .lipschitz import (
     NEITHER,
     block_profile,
     classify_membership,
+    fit_tail_slope,
 )
 from .norms import dirichlet_norm, hp_norm, xqp_norm
 from .rhalyop import (
     SequenceSpec,
-    TruncatedRhaly,
     _apply_realized,
+    _zero_head,
     generating_function,
     require_decreasing,
 )
@@ -187,15 +188,6 @@ def classify_bergman(
     )
 
 
-def _tail_trend(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Log-log slope over the tail half; 0 when the tail touches zero."""
-    half = max(len(xs) // 2 - 1, 0)
-    x, y = xs[half:], ys[half:]
-    if np.any(y <= 0) or len(x) < 2:
-        return 0.0
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
 def h1_necessary(eta: SequenceSpec, Ns) -> Verdict:
     """Necessary and sufficient H^1 diagnostics.
 
@@ -221,8 +213,8 @@ def h1_necessary(eta: SequenceSpec, Ns) -> Verdict:
     norms_c = np.array(
         [hp_norm(partial_sum(Fp, int(N)), 1.0).value for N in Ns]
     )
-    trend_a = _tail_trend(Ns.astype(float), ratio_a)
-    trend_b = _tail_trend(Ns.astype(float), ratio_b)
+    trend_a = fit_tail_slope(Ns.astype(float), ratio_a)
+    trend_b = fit_tail_slope(Ns.astype(float), ratio_b)
     rel_c = abs(norms_c[-1] - norms_c[-2]) / max(norms_c[-1], np.finfo(float).tiny)
     evidence = (
         ("weighted_sum_ratio", {"Ns": Ns.tolist(), "values": ratio_a.tolist(),
@@ -252,7 +244,7 @@ def decreasing_rule(
     v = eta.values().real
     ns = 2 ** np.arange(1, int(np.floor(np.log2(eta.truncation))) + 1)
     products = ns * v[ns]
-    trend = _tail_trend(ns.astype(float), products)
+    trend = fit_tail_slope(ns.astype(float), products)
     evidence = (
         ("n_eta_n", {"ns": ns.tolist(), "values": products.tolist(),
                      "trend": trend, "threshold": trend_threshold}),
@@ -293,29 +285,31 @@ def dpp_embedding_check(
     """
     if corpus is None:
         corpus = default_corpus()
+    for N in tail_Ns:
+        if N > eta.truncation:
+            raise TruncationMismatch(f"N={N} exceeds truncation {eta.truncation}")
     dirichlet_ratios = []
     xqp_ratios = []
+    images = []
     ev = eta.values()
     for f in corpus:
         denom = hp_norm(f, p).value
         if denom == 0.0:
             continue
         Rf = _apply_realized(ev, f)
+        images.append((Rf, denom))
         dirichlet_ratios.append(dirichlet_norm(Rf, p, p - 1.0).value / denom)
         if q is not None:
             xqp_ratios.append(xqp_norm(Rf, q, p).value / denom)
-    tail_ratios = []
-    for N in tail_Ns:
-        op = TruncatedRhaly(eta, int(N))
-        worst = 0.0
-        for f in corpus:
-            denom = hp_norm(f, p).value
-            if denom == 0.0:
-                continue
-            worst = max(
-                worst, dirichlet_norm(op.tail(f), p, p - 1.0).value / denom
-            )
-        tail_ratios.append(worst)
+    # each tail (R - R_N) f is the image with coefficients 0..N zeroed
+    tail_ratios = [
+        max(
+            (dirichlet_norm(_zero_head(Rf, int(N)), p, p - 1.0).value / denom
+             for Rf, denom in images),
+            default=0.0,
+        )
+        for N in tail_Ns
+    ]
     out = {
         "dirichlet_constant": max(dirichlet_ratios, default=0.0),
         "tail_Ns": list(tail_Ns),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -101,7 +100,7 @@ def _write_csv(out: str | None, stem: str, text: str) -> None:
 
 
 def _config(args: argparse.Namespace, **extra) -> dict:
-    cfg = {"command": args.command, "threads": os.environ.get("RHALY_THREADS", "1")}
+    cfg = {"command": args.command}
     for key in ("p", "alpha", "q", "trunc", "seed", "grid_M", "grid_J",
                 "eps_slope", "eps_tail", "space"):
         if hasattr(args, key) and getattr(args, key) is not None:

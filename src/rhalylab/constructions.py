@@ -9,9 +9,7 @@ dyadic derivative blocks grow like 2^{k/2}.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +53,6 @@ def extremal_fn(p: float, N: int, truncation: int | None = None) -> CoeffSeq:
             f"geometric tail at truncation {truncation} not negligible for N={N}"
         )
     return CoeffSeq(coeffs.astype(complex))
-
-
-def alpha_beta(p: float, N: int, k: int) -> tuple[float, float]:
-    """The averages alpha_{k,N} = (1/(k N^{2-1/p})) sum_{n<=k} n a_N^n and 1/alpha."""
-    if k < 1 or N < 2:
-        raise ValueError("need k >= 1 and N >= 2")
-    aN = 1.0 - 1.0 / N
-    n = np.arange(1, k + 1, dtype=float)
-    alpha = float(np.sum(n * aN**n)) / (k * N ** (2.0 - 1.0 / p))
-    return alpha, 1.0 / alpha
 
 
 def alpha_beta_range(p: float, N: int, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,15 +171,6 @@ def bergman_gn(
     return CoeffSeq(N ** ((alpha + 1.0) / p) * f.coeffs)
 
 
-def gamma_delta(p: float, alpha: float, N: int, k: int) -> tuple[float, float]:
-    """gamma_{k,N} = N^{(1+alpha)/p} alpha_{k,N} and its reciprocal delta."""
-    if not -1.0 < alpha < 2.0 * p - 2.0:
-        raise AlphaRange(f"alpha={alpha} outside (-1, 2p-2) for p={p}")
-    a, _ = alpha_beta(p, N, k)
-    gamma = N ** ((1.0 + alpha) / p) * a
-    return gamma, 1.0 / gamma
-
-
 # --- H^1 dual test pair ----------------------------------------------------
 
 
@@ -211,14 +190,6 @@ def phi_psi_n(N: int, a_N: float | None = None) -> tuple[CoeffSeq, CoeffSeq]:
 
 
 # --- Rademacher signs and Khinchine constants ------------------------------
-
-
-def rademacher_value(k: int, t: float) -> int:
-    """r_k(t): the sign square wave at dyadic frequency 2^{k+1}."""
-    if not 0.0 <= t < 1.0:
-        raise ValueError("t must lie in [0, 1)")
-    cell = math.floor(t * 2 ** (k + 1))
-    return 1 if cell % 2 == 0 else -1
 
 
 @dataclass(frozen=True)

@@ -63,14 +63,14 @@ class MembershipVerdict:
     eps_tail: float
 
 
-def _fit_tail_slope(Ns: np.ndarray, scaled: np.ndarray) -> float:
-    """Least-squares log-log slope over the tail half of the k range."""
-    K = len(Ns)
-    tail = slice(K // 2 - 1, K)  # k in [K/2, K], 1-based k
-    s = scaled[tail]
-    if np.any(s <= 0):
+def fit_tail_slope(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Least-squares log-log slope over the tail half of the points (1-based
+    k in [K/2, K]); 0 when the tail touches zero or has fewer than two points."""
+    half = max(len(xs) // 2 - 1, 0)
+    x, y = xs[half:], ys[half:]
+    if np.any(y <= 0) or len(x) < 2:
         return 0.0
-    return float(np.polyfit(np.log(Ns[tail].astype(float)), np.log(s), 1)[0])
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def block_profile(
@@ -93,7 +93,7 @@ def block_profile(
     scaled = np.array(
         [N**alpha * hp_norm(block(f, int(N)), p).value for N in Ns]
     )
-    slope = _fit_tail_slope(Ns, scaled)
+    slope = fit_tail_slope(Ns, scaled)
     top = scaled.max()
     tail_ratio = float(scaled[-1] / top) if top > 0 else 0.0
     return BlockProfile(

@@ -3,9 +3,11 @@
 Everything here reduces to two quadratures: a trapezoid rule over
 equispaced angles for M_p(r, f), which is spectrally accurate for
 trigonometric-polynomial integrands, and a Gauss-Jacobi rule in the
-radius for the weighted area integrals. Every norm is returned as a
-:class:`NormReport` carrying its own grid-doubling refinement estimate,
-so accuracy is observable rather than assumed.
+radius (:func:`_jacobi_rule`, 64 nodes) for the weighted area integrals.
+Every norm is returned as a :class:`NormReport` carrying its own
+grid-doubling refinement estimate, taken by :func:`_refined` from the
+angular grid for integral means and from the radial rule for area
+integrals, so accuracy is observable rather than assumed.
 """
 
 from __future__ import annotations
@@ -48,44 +50,25 @@ class NormReport:
         )
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Radial quadrature nodes in (0,1).
+def _jacobi_rule(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes r and weights w with sum w_i g(r_i) ~ int_0^1 (1-r)^alpha g(r) dr."""
+    x, w = roots_jacobi(n, alpha, 0.0)
+    order = np.argsort(x)
+    return (x[order] + 1.0) / 2.0, w[order] / 2.0 ** (alpha + 1.0)
 
-    kind="jacobi" carries Gauss-Jacobi nodes/weights for the measure
-    (1-r)^alpha dr on [0,1]; kind="dyadic" is the ladder r_j = 1 - 2^{-j}
-    used for sup-type quantities (weights are placeholders there).
-    """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    kind: str
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("radial nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def jacobi(cls, alpha: float, n_nodes: int = DEFAULT_RADIAL_NODES) -> "RadialGrid":
-        """Nodes/weights with sum w_i g(r_i) ~ int_0^1 (1-r)^alpha g(r) dr."""
-        if alpha <= -1:
-            raise AlphaRange(f"alpha={alpha} must exceed -1")
-        x, w = roots_jacobi(n_nodes, alpha, 0.0)
-        order = np.argsort(x)
-        x, w = x[order], w[order]
-        r = (x + 1.0) / 2.0
-        w = w / 2.0 ** (alpha + 1.0)
-        return cls(nodes=r, weights=w, kind="jacobi", alpha=alpha)
-
-    @classmethod
-    def dyadic(cls, J: int = DEFAULT_DYADIC_J) -> "RadialGrid":
-        r = 1.0 - 2.0 ** (-np.arange(1, J + 1, dtype=float))
-        return cls(nodes=r, weights=np.ones_like(r), kind="dyadic")
+def _refined(value, n: int, grid_points: int, radial_nodes: int) -> NormReport:
+    """Report value(n), with its relative change when n is doubled as the
+    refinement estimate."""
+    coarse = value(n)
+    fine = value(2 * n)
+    delta = abs(fine - coarse) / max(fine, np.finfo(float).tiny)
+    return NormReport(
+        value=coarse,
+        grid_points=grid_points,
+        radial_nodes=radial_nodes,
+        refinement_delta=delta,
+    )
 
 
 def dyadic_radii(J: int = DEFAULT_DYADIC_J) -> np.ndarray:
@@ -110,12 +93,7 @@ def mean_mp(f: CoeffSeq, r: float, p: float, M: int | None = None) -> NormReport
         raise ValueError("p must be >= 1")
     if M is None:
         M = default_angular_points(f.degree)
-    coarse = _mp_power_mean(f, r, p, M) ** (1.0 / p)
-    fine = _mp_power_mean(f, r, p, 2 * M) ** (1.0 / p)
-    delta = abs(fine - coarse) / max(fine, np.finfo(float).tiny)
-    return NormReport(
-        value=coarse, grid_points=M, radial_nodes=1, refinement_delta=delta
-    )
+    return _refined(lambda m: _mp_power_mean(f, r, p, m) ** (1.0 / p), M, M, 1)
 
 
 def hp_norm(f: CoeffSeq, p: float, M: int | None = None) -> NormReport:
@@ -135,39 +113,26 @@ def _mp_powers_on_nodes(f: CoeffSeq, p: float, nodes: np.ndarray, M: int) -> np.
     return np.mean(np.abs(vals) ** p, axis=1)
 
 
-def bergman_norm(
-    f: CoeffSeq, p: float, alpha: float, grid: RadialGrid | None = None
-) -> NormReport:
+def bergman_norm(f: CoeffSeq, p: float, alpha: float) -> NormReport:
     """A^p_alpha norm via ((a+1) int_0^1 2r (1-r^2)^a M_p^p(r,f) dr)^{1/p}."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if alpha <= -1:
         raise AlphaRange(f"alpha={alpha} must exceed -1")
-    if grid is None:
-        grid = RadialGrid.jacobi(alpha)
     M = default_angular_points(f.degree)
 
-    def value(g: RadialGrid) -> float:
-        means = _mp_powers_on_nodes(f, p, g.nodes, M)
-        integrand = 2.0 * g.nodes * (1.0 + g.nodes) ** alpha * means
-        return float((alpha + 1.0) * np.dot(g.weights, integrand)) ** (1.0 / p)
+    def value(n: int) -> float:
+        r, w = _jacobi_rule(alpha, n)
+        means = _mp_powers_on_nodes(f, p, r, M)
+        integrand = 2.0 * r * (1.0 + r) ** alpha * means
+        return float((alpha + 1.0) * np.dot(w, integrand)) ** (1.0 / p)
 
-    coarse = value(grid)
-    fine = value(RadialGrid.jacobi(alpha, 2 * len(grid.nodes)))
-    delta = abs(fine - coarse) / max(fine, np.finfo(float).tiny)
-    return NormReport(
-        value=coarse,
-        grid_points=M,
-        radial_nodes=len(grid.nodes),
-        refinement_delta=delta,
-    )
+    return _refined(value, DEFAULT_RADIAL_NODES, M, DEFAULT_RADIAL_NODES)
 
 
-def dirichlet_norm(
-    f: CoeffSeq, p: float, alpha: float, grid: RadialGrid | None = None
-) -> NormReport:
+def dirichlet_norm(f: CoeffSeq, p: float, alpha: float) -> NormReport:
     """D^p_alpha norm: (|f(0)|^p + ||f'||_{A^p_alpha}^p)^{1/p}."""
-    rep = bergman_norm(derivative(f), p, alpha, grid)
+    rep = bergman_norm(derivative(f), p, alpha)
     value = (abs(f.coeff(0)) ** p + rep.value**p) ** (1.0 / p)
     return NormReport(
         value=value,
@@ -177,38 +142,22 @@ def dirichlet_norm(
     )
 
 
-def xqp_dirichlet_normalization(p: float) -> float:
-    """The (alpha+1) factor relating the X_{p,p} integral to D^p_{p-1}."""
-    return p
-
-
-def xqp_norm(
-    f: CoeffSeq, q: float, p: float, grid: RadialGrid | None = None
-) -> NormReport:
+def xqp_norm(f: CoeffSeq, q: float, p: float) -> NormReport:
     """Mixed-norm value (|f(0)|^p + int_0^1 (1-r)^{p(1-1/q)} M_q^p(r,f') dr)^{1/p}."""
     if q > p:
         raise ParamOrder(f"need q <= p, got q={q}, p={p}")
     if q < 1:
         raise ValueError("q must be >= 1")
     a = p * (1.0 - 1.0 / q)
-    if grid is None:
-        grid = RadialGrid.jacobi(a)
     fp = derivative(f)
     M = default_angular_points(fp.degree)
 
-    def value(g: RadialGrid) -> float:
-        means = _mp_powers_on_nodes(fp, q, g.nodes, M) ** (p / q)
-        return float(abs(f.coeff(0)) ** p + np.dot(g.weights, means)) ** (1.0 / p)
+    def value(n: int) -> float:
+        r, w = _jacobi_rule(a, n)
+        means = _mp_powers_on_nodes(fp, q, r, M) ** (p / q)
+        return float(abs(f.coeff(0)) ** p + np.dot(w, means)) ** (1.0 / p)
 
-    coarse = value(grid)
-    fine = value(RadialGrid.jacobi(a, 2 * len(grid.nodes)))
-    delta = abs(fine - coarse) / max(fine, np.finfo(float).tiny)
-    return NormReport(
-        value=coarse,
-        grid_points=M,
-        radial_nodes=len(grid.nodes),
-        refinement_delta=delta,
-    )
+    return _refined(value, DEFAULT_RADIAL_NODES, M, DEFAULT_RADIAL_NODES)
 
 
 def beta(f: CoeffSeq, p: float, alpha: float, r: float) -> float:

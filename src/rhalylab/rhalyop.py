@@ -16,6 +16,7 @@ import numpy as np
 
 from .coeffcore import CoeffSeq, derivative, partial_sum, prefix_sums, shift
 from .errors import NotMonotone, TruncationMismatch
+from .lipschitz import fit_tail_slope
 from .norms import hp_norm
 
 
@@ -256,12 +257,6 @@ def radial_derivative_series(eta: SequenceSpec) -> CoeffSeq:
     return shift(derivative(generating_function(eta)))
 
 
-def moments(mu: DiscreteMeasure, truncation: int) -> SequenceSpec:
-    """Moment sequence mu_n = sum_j mass_j t_j^n as a literal spec."""
-    spec = SequenceSpec.measure_moments(mu, truncation)
-    return SequenceSpec.literal(spec.values(), truncation)
-
-
 def carleson_check(mu: DiscreteMeasure, radii) -> tuple[float, bool]:
     """Max of mu([r,1))/(1-r) over the radii plus a boundedness flag.
 
@@ -272,16 +267,9 @@ def carleson_check(mu: DiscreteMeasure, radii) -> tuple[float, bool]:
     radii = np.asarray(radii, dtype=float)
     ratios = np.array([mu.tail_mass(r) / (1.0 - r) for r in radii])
     constant = float(ratios.max()) if len(ratios) else 0.0
-    positive = ratios > 0
-    if positive.sum() >= 4:
-        x = np.log(1.0 / (1.0 - radii[positive]))
-        y = np.log(ratios[positive])
-        half = len(x) // 2
-        slope = float(np.polyfit(x[half:], y[half:], 1)[0])
-        flag = slope < 0.25
-    else:
-        flag = True
-    return constant, flag
+    # fewer than four radii resolve no trend
+    trend = fit_tail_slope(1.0 / (1.0 - radii), ratios) if len(radii) >= 4 else 0.0
+    return constant, trend < 0.25
 
 
 class TruncatedRhaly:
@@ -302,14 +290,14 @@ class TruncatedRhaly:
 
     def tail(self, f: CoeffSeq) -> CoeffSeq:
         """(R - R_N) f, the operator realized by zeroing eta_0..eta_N."""
-        full = _apply_realized(self._ev, f)
-        out = full.coeffs.copy()
-        out[: min(self.N + 1, len(out))] = 0
-        return CoeffSeq(out)
+        return _zero_head(_apply_realized(self._ev, f), self.N)
 
 
-def truncated_operator(eta: SequenceSpec, N: int) -> TruncatedRhaly:
-    return TruncatedRhaly(eta, N)
+def _zero_head(g: CoeffSeq, N: int) -> CoeffSeq:
+    """g with coefficients 0..N zeroed; (R - R_N) f when g = R f."""
+    out = g.coeffs.copy()
+    out[: min(N + 1, len(out))] = 0
+    return CoeffSeq(out)
 
 
 # --- l2 operator norm via matrix-free power iteration -------------------

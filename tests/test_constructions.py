@@ -8,20 +8,17 @@ import pytest
 from rhalylab.coeffcore import CoeffSeq, block, evaluate_on_circle, CircleGrid, hadamard
 from rhalylab.constructions import (
     PolygonalProfile,
-    alpha_beta,
     alpha_beta_range,
     bergman_gn,
     bergman_psi,
     construct_upsilon,
     extremal_fn,
-    gamma_delta,
     h_poly,
     hardy_psi,
     khinchine_ratio,
     khinchine_report,
     phi_psi_n,
     polygonal_psi,
-    rademacher_value,
     w_kernel,
 )
 from rhalylab.errors import AlphaRange, ShapeMismatch, TruncationTooSmall
@@ -62,20 +59,17 @@ def test_extremal_fn_vanishes_on_compacts():
 
 def test_alpha_beta_values():
     # k = 1: a single term a_N / N^{2-1/p}
-    a, b = alpha_beta(2.0, 8, 1)
-    aN = 1 - 1 / 8
-    assert abs(a - aN / 8**1.5) < 1e-15
-    assert abs(b - 1 / a) < 1e-10
     alphas, betas = alpha_beta_range(2.0, 8, 1, 5)
-    assert abs(alphas[0] - a) < 1e-15
+    aN = 1 - 1 / 8
+    assert abs(alphas[0] - aN / 8**1.5) < 1e-15
     assert np.allclose(betas, 1 / alphas)
 
 
 def test_alpha_sandwich():
     p, N = 2.0, 32
     aN = 1 - 1 / N
-    for k in range(N, 2 * N + 1):
-        a, _ = alpha_beta(p, N, k)
+    alphas, _ = alpha_beta_range(p, N, N, 2 * N)
+    for k, a in zip(range(N, 2 * N + 1), alphas):
         upper = (k + 1) / (2 * N ** (2 - 1 / p))
         lower = aN**k * upper
         assert lower - 1e-15 <= a <= upper + 1e-15
@@ -173,16 +167,6 @@ def test_bergman_gn_band_and_range():
     assert max(norms) / min(norms) < 3.0
 
 
-def test_gamma_delta():
-    p, alpha, N, k = 2.0, 0.5, 16, 20
-    a, _ = alpha_beta(p, N, k)
-    g, d = gamma_delta(p, alpha, N, k)
-    assert abs(g - N ** ((1 + alpha) / p) * a) < 1e-15
-    assert abs(d - 1 / g) < 1e-12
-    with pytest.raises(AlphaRange):
-        gamma_delta(2.0, -1.0, 16, 16)
-
-
 def test_bergman_psi_shape():
     psi = bergman_psi(2.0, 0.0, 16)
     assert len(psi.knots_x) == 19
@@ -210,14 +194,6 @@ def test_psi_norm_log_scale():
     slope = np.polyfit(np.log(Ns), np.log(norms), 1)[0]
     # slope of log||psi|| is -2 plus the log correction
     assert abs(slope + 2.0) < 0.15
-
-
-def test_rademacher_values():
-    assert rademacher_value(0, 0.1) == 1
-    assert rademacher_value(0, 0.7) == -1
-    assert rademacher_value(1, 0.3) == -1
-    with pytest.raises(ValueError):
-        rademacher_value(0, 1.0)
 
 
 def test_khinchine_p2_is_one():

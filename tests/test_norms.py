@@ -6,7 +6,6 @@ import pytest
 from rhalylab.coeffcore import CoeffSeq
 from rhalylab.errors import AlphaRange, ParamOrder, RadiusRange
 from rhalylab.norms import (
-    RadialGrid,
     bergman_norm,
     beta,
     beta_sup,
@@ -14,7 +13,6 @@ from rhalylab.norms import (
     dyadic_radii,
     hp_norm,
     mean_mp,
-    xqp_dirichlet_normalization,
     xqp_norm,
 )
 
@@ -87,7 +85,7 @@ def test_bergman_alpha_range():
     with pytest.raises(AlphaRange):
         bergman_norm(CoeffSeq(np.array([1.0])), 2.0, -1.0)
     with pytest.raises(AlphaRange):
-        RadialGrid.jacobi(-1.5)
+        bergman_norm(CoeffSeq(np.array([1.0])), 2.0, -1.5)
 
 
 def test_bergman_bounded_by_hardy():
@@ -115,10 +113,10 @@ def test_xqp_norm_oracles():
 
 def test_xqp_matches_dirichlet_up_to_normalization():
     # for constant derivative the quadratures coincide exactly after the
-    # (alpha+1) factor
+    # (alpha+1) = p factor
     z = CoeffSeq(np.array([0.0, 1.0]))
     p = 2.0
-    lhs = xqp_dirichlet_normalization(p) * xqp_norm(z, p, p).value ** p
+    lhs = p * xqp_norm(z, p, p).value ** p
     rhs = dirichlet_norm(z, p, p - 1.0).value ** p
     assert abs(lhs - rhs) < 1e-10
 

@@ -4,7 +4,7 @@ math.fsum, the adjoint identity, and linearity."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,6 +13,8 @@ from rhalylab.coeffcore import CoeffSeq, prefix_sums
 from rhalylab.rhalyop import SequenceSpec, _section_rmatvec, apply_rhaly
 
 U = 2.0**-53
+#: underflow of one product is absolute, up to half of this (Higham, sec. 2.1)
+TINY = np.finfo(float).smallest_subnormal
 C = coeffcore._PREFIX_CHUNK
 
 
@@ -74,19 +76,26 @@ pairs = st.integers(1, 512).flatmap(
 
 @settings(max_examples=60, deadline=None)
 @given(specs, pairs)
+@example(SequenceSpec.cesaro(511), (np.array([1.0 + 0j, 0j]), np.full(2, 5e-324 + 0j)))
 def test_adjoint_identity(eta, vw):
     """<R_N v, w> = <v, R_N* w> between apply_rhaly and the section adjoint."""
     v, w = vw
     ev = eta.values()[: len(v)]
     lhs = np.vdot(w, apply_rhaly(eta, CoeffSeq(v)).coeffs)
     rhs = np.vdot(_section_rmatvec(ev, w), v)
-    # both sides sum eta_n v_k conj(w_n) over k <= n, in different orders
+    # both sides sum eta_n v_k conj(w_n) over k <= n, in different orders;
+    # each product that underflows adds an absolute error, which the later
+    # factors w_n (left) or v_k summed over n >= k (right) multiply
     scale = float(np.dot(np.abs(w), np.abs(ev) * np.cumsum(np.abs(v))))
-    assert abs(lhs - rhs) <= 8 * gamma(2 * len(v) + 4) * scale
+    n = len(v)
+    underflow = 8 * TINY * (n * (2 + np.sum(np.abs(v))) + np.sum(np.abs(w)))
+    assert abs(lhs - rhs) <= 8 * gamma(2 * n + 4) * scale + underflow
 
 
 @settings(max_examples=60, deadline=None)
 @given(specs, coeffs, coeffs, pairs)
+@example(SequenceSpec.power_law(5e-324, 0.0, 511), 2.0 + 0j, 0j,
+         (np.array([1.5 + 0j]), np.array([0j])))
 def test_apply_is_linear(eta, alpha, beta, fg):
     f, g = fg
     lhs = apply_rhaly(eta, CoeffSeq(alpha * f + beta * g)).coeffs
@@ -94,5 +103,10 @@ def test_apply_is_linear(eta, alpha, beta, fg):
     rhs = alpha * Rf.coeffs + beta * Rg.coeffs
     ev = np.abs(eta.values()[: len(f)])
     scale = ev * np.cumsum(abs(alpha) * np.abs(f) + abs(beta) * np.abs(g))
-    # each side is within about 8u of the exact image, coefficientwise
-    assert np.all(np.abs(lhs - rhs) <= 32 * U * scale)
+    # each side is within about 8u of the exact image, coefficientwise, plus
+    # the absolute underflow of every product that enters it: the n+1 terms
+    # alpha f_k + beta g_k of the prefix, eta_n times it, and alpha, beta
+    # times the images
+    n = np.arange(1, len(f) + 1)
+    underflow = 8 * (ev * n + abs(alpha) + abs(beta) + 2) * TINY
+    assert np.all(np.abs(lhs - rhs) <= 32 * U * scale + underflow)

@@ -10,15 +10,14 @@ from rhalylab.errors import NotMonotone, TruncationMismatch
 from rhalylab.rhalyop import (
     DiscreteMeasure,
     SequenceSpec,
+    TruncatedRhaly,
     apply_rhaly,
     carleson_check,
     generating_function,
-    moments,
     opnorm_h2,
     opnorm_lower_hp,
     radial_derivative_series,
     require_decreasing,
-    truncated_operator,
 )
 
 
@@ -90,16 +89,16 @@ def test_radial_derivative_series():
 
 def test_moments_point_masses():
     at_zero = DiscreteMeasure(np.array([0.0]), np.array([1.0]))
-    m = moments(at_zero, 4).values()
+    m = SequenceSpec.measure_moments(at_zero, 4).values()
     assert np.allclose(m, [1, 0, 0, 0, 0])
     at_half = DiscreteMeasure(np.array([0.5]), np.array([1.0]))
-    m = moments(at_half, 6).values()
+    m = SequenceSpec.measure_moments(at_half, 6).values()
     assert np.allclose(m, 0.5 ** np.arange(7))
 
 
 def test_moments_lebesgue_discretization():
     mu = DiscreteMeasure.lebesgue_midpoint(1024)
-    m = moments(mu, 64).values().real
+    m = SequenceSpec.measure_moments(mu, 64).values().real
     target = 1.0 / (np.arange(65) + 1.0)
     assert np.max(np.abs(m - target)) < 1e-3
 
@@ -127,16 +126,16 @@ def test_truncated_operator():
     eta = SequenceSpec.cesaro(7)
     f = CoeffSeq(np.array([1.0, 1.0, 1.0]))
     # N covers the whole degree: same as the full operator
-    full = truncated_operator(eta, 5)(f)
+    full = TruncatedRhaly(eta, 5)(f)
     assert np.allclose(full.coeffs[:3], apply_rhaly(eta, f).coeffs)
     # N = 1 keeps two coefficients: prefix sums 1,2 times eta 1,1/2
-    out = truncated_operator(eta, 1)(f)
+    out = TruncatedRhaly(eta, 1)(f)
     assert np.allclose(out.coeffs[:2], [1.0, 1.0])
     # N = 0
-    out0 = truncated_operator(eta, 0)(f)
+    out0 = TruncatedRhaly(eta, 0)(f)
     assert np.allclose(out0.coeffs[0], 1.0)
     # tail operator zeroes the head
-    tail = truncated_operator(eta, 1).tail(f)
+    tail = TruncatedRhaly(eta, 1).tail(f)
     assert np.allclose(tail.coeffs, [0.0, 0.0, 1.0])
 
 
