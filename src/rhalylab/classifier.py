@@ -6,7 +6,9 @@ function F(z) = sum eta_n z^n, or through the exact monotone-weight rule
 when the spec certifies a nonnegative decreasing sequence. Verdicts carry
 their numeric evidence and the tag of the result they instantiate; the
 open region for p > 2 and the one-sided p = 1 conditions surface as
-Inconclusive rather than being forced to a side.
+Inconclusive rather than being forced to a side, and so does a block
+profile that stays unresolved on its finest grid. Each verdict realizes F
+once and samples its blocks once, for every exponent it needs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffcore import CoeffSeq, block, derivative, partial_sum
+from .coeffcore import CoeffSeq, derivative, partial_sum
 from .errors import AlphaRange, PRange, TruncationMismatch
 from .lipschitz import (
     BIG_LAMBDA,
@@ -28,7 +30,7 @@ from .lipschitz import (
     classify_membership,
     fit_tail_slope,
 )
-from .norms import dirichlet_norm, hp_norm, xqp_norm
+from .norms import REFINEMENT_FLAG, _BlockEngine, dirichlet_norm, hp_norm, xqp_norm
 from .rhalyop import (
     SequenceSpec,
     _apply_realized,
@@ -68,6 +70,13 @@ class Verdict:
             return (COMPACT, BOUNDED)
         return (self.conclusion,)
 
+    @property
+    def unresolved(self) -> bool:
+        """Inconclusive because evidence stayed above REFINEMENT_FLAG."""
+        return self.conclusion == INCONCLUSIVE_VERDICT and any(
+            d.get("refinement_delta", 0.0) > REFINEMENT_FLAG for _, d in self.evidence
+        )
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -88,6 +97,7 @@ def _profile_evidence(name: str, profile) -> tuple:
             "p": profile.p,
             "slope": profile.slope,
             "tail_ratio": profile.tail_ratio,
+            "refinement_delta": profile.refinement_delta,
             "entries": [[int(N), s] for N, s in profile.entries],
         },
     )
@@ -99,10 +109,18 @@ def _fit_K(eta: SequenceSpec, K: int) -> int:
     return min(K, K_max)
 
 
-def _membership(eta: SequenceSpec, p: float, K: int, eps_slope, eps_tail):
+def _memberships(eta: SequenceSpec, K: int, eps_slope, eps_tail):
+    """Membership of F at (p, 1/p) as a function of p. F is realized and its
+    blocks sampled once, and every exponent asked for reads those samples."""
     F = generating_function(eta)
-    profile = block_profile(F, p, 1.0 / p, _fit_K(eta, K))
-    return classify_membership(profile, eps_slope, eps_tail)
+    K = _fit_K(eta, K)
+    engine = _BlockEngine(F.coeffs, 2 ** np.arange(1, K + 1))
+
+    def at(p: float):
+        profile = block_profile(F, p, 1.0 / p, K, engine=engine)
+        return classify_membership(profile, eps_slope, eps_tail)
+
+    return at
 
 
 _MEMBERSHIP_TO_CONCLUSION = {
@@ -124,13 +142,16 @@ def classify_hardy(
 
     For 1 < p <= 2 the membership test at (p, 1/p) is an iff. For p > 2
     sufficiency is tested on a q-grid in (2, p) and necessity at p itself;
-    the region between is reported Inconclusive.
+    the region between is reported Inconclusive. The q-grid stops at the
+    first exponent that decides, and all of its profiles read one sample
+    set. A profile left unresolved decides nothing.
     """
     if not 1.0 < p < np.inf:
         raise PRange(f"p={p} must lie in (1, inf)")
     space = f"Hardy(p={p})"
+    membership = _memberships(eta, K, eps_slope, eps_tail)
     if p <= 2.0:
-        verdict = _membership(eta, p, K, eps_slope, eps_tail)
+        verdict = membership(p)
         conclusion = _MEMBERSHIP_TO_CONCLUSION[verdict.space]
         theorem = "Thm2a" if conclusion == COMPACT else "Thm1a"
         return Verdict(
@@ -143,13 +164,13 @@ def classify_hardy(
     evidence = []
     for k in range(1, 8):
         q = 2.0 + (p - 2.0) * k / 8.0
-        v = _membership(eta, q, K, eps_slope, eps_tail)
+        v = membership(q)
         evidence.append(_profile_evidence(f"block_profile_q={q}", v.profile))
         if v.space == LITTLE_LAMBDA:
             return Verdict(COMPACT, "Thm2c", space, tuple(evidence))
         if v.space == BIG_LAMBDA:
             return Verdict(BOUNDED, "Thm1c", space, tuple(evidence))
-    v_at_p = _membership(eta, p, K, eps_slope, eps_tail)
+    v_at_p = membership(p)
     evidence.append(_profile_evidence("block_profile_at_p", v_at_p.profile))
     if v_at_p.space == NEITHER:
         return Verdict(NOT_BOUNDED, "Thm1b", space, tuple(evidence))
@@ -176,7 +197,7 @@ def classify_bergman(
         raise AlphaRange(f"alpha={alpha} must exceed -1")
     space = f"Bergman(p={p},alpha={alpha})"
     theorem = "Thm3" if alpha == 0.0 else "Thm7"
-    verdict = _membership(eta, p, K, eps_slope, eps_tail)
+    verdict = _memberships(eta, K, eps_slope, eps_tail)(p)
     conclusion = _MEMBERSHIP_TO_CONCLUSION[verdict.space]
     if conclusion == NOT_BOUNDED and alpha >= 2.0 * p - 2.0:
         conclusion = INCONCLUSIVE_VERDICT
@@ -194,7 +215,8 @@ def h1_necessary(eta: SequenceSpec, Ns) -> Verdict:
     (a) (sum_{n<=N} n |eta_n|)/N must stay bounded, (b) the dyadic blocks
     of F' must have H^1 norms O(log N), and (c) if ||F'||_{H^1} converges
     under truncation growth the operator is compact on H^1. Only one-sided
-    conclusions are available at p = 1, so the fallback is Inconclusive.
+    conclusions are available at p = 1, so the fallback is Inconclusive;
+    blocks of F' left unresolved also end there, unless (a) decides.
     """
     Ns = np.asarray(Ns, dtype=int)
     if np.any(Ns < 2) or np.any(2 ** np.round(np.log2(Ns)).astype(int) != Ns):
@@ -207,9 +229,8 @@ def h1_necessary(eta: SequenceSpec, Ns) -> Verdict:
     ratio_a = np.array([weighted[N] / N for N in Ns])
     F = generating_function(eta)
     Fp = derivative(F)
-    ratio_b = np.array(
-        [hp_norm(block(Fp, int(N)), 1.0).value / np.log(N) for N in Ns]
-    )
+    block_norms, delta_b = _BlockEngine(Fp.coeffs, Ns).norms(1.0)
+    ratio_b = block_norms / np.log(Ns)
     norms_c = np.array(
         [hp_norm(partial_sum(Fp, int(N)), 1.0).value for N in Ns]
     )
@@ -220,12 +241,14 @@ def h1_necessary(eta: SequenceSpec, Ns) -> Verdict:
         ("weighted_sum_ratio", {"Ns": Ns.tolist(), "values": ratio_a.tolist(),
                                 "trend": trend_a}),
         ("block_log_ratio", {"Ns": Ns.tolist(), "values": ratio_b.tolist(),
-                             "trend": trend_b}),
+                             "trend": trend_b, "refinement_delta": delta_b}),
         ("derivative_h1_trend", {"Ns": Ns.tolist(), "values": norms_c.tolist(),
                                  "relative_change": rel_c}),
     )
     if trend_a > TREND_THRESHOLD:
         return Verdict(NOT_BOUNDED, "Thm6ii", "Hardy(p=1)", evidence)
+    if delta_b > REFINEMENT_FLAG:
+        return Verdict(INCONCLUSIVE_VERDICT, "Thm6iii", "Hardy(p=1)", evidence)
     if trend_b > TREND_THRESHOLD:
         return Verdict(NOT_BOUNDED, "Thm6iii", "Hardy(p=1)", evidence)
     if rel_c < 1e-2:

@@ -5,7 +5,9 @@ verification suite.
 Structured results go to stdout as JSON (series as CSV side files when an
 output directory is given). Every output embeds the run configuration so a
 result can be reproduced from the file alone. Exit codes: 0 success,
-2 input error, 3 numeric non-convergence, 4 suite failure.
+2 input error, 3 numeric non-convergence (an operator-norm iteration that
+did not converge, or a block profile left unresolved on its finest grid,
+which makes `profile` and `classify` Inconclusive), 4 suite failure.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def cmd_profile(args) -> int:
         args.out,
         "profile",
     )
-    return EXIT_OK
+    return EXIT_NO_CONVERGENCE if prof.flagged else EXIT_OK
 
 
 def cmd_classify(args) -> int:
@@ -169,7 +171,7 @@ def cmd_classify(args) -> int:
     else:
         verdict = classify_hardy(spec, args.p, **kwargs)
     _emit({"verdict": json.loads(verdict.to_json())}, _config(args), args.out, "verdict")
-    return EXIT_OK
+    return EXIT_NO_CONVERGENCE if verdict.unresolved else EXIT_OK
 
 
 def cmd_opnorm(args) -> int:

@@ -33,14 +33,16 @@ class CoeffSeq:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coeffs must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        # a copy, so the caller's array is never aliased
+        object.__setattr__(self, "coeffs", _frozen(np.array(self.coeffs, dtype=complex)))
+
+    @classmethod
+    def _owning(cls, arr: np.ndarray) -> "CoeffSeq":
+        """Wrap a fresh complex array without copying it. The caller hands the
+        array over and keeps no reference it writes through."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", _frozen(np.asarray(arr, dtype=complex)))
+        return self
 
     @property
     def degree(self) -> int:
@@ -78,6 +80,16 @@ class CoeffSeq:
         return cls(c)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Check a coefficient array and make it read-only, in place."""
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("coeffs must be a nonempty 1-d array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coefficients must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class CircleGrid:
     """M equispaced angles theta_j = 2 pi j / M on the circle of radius r."""
@@ -109,7 +121,7 @@ def derivative(f: CoeffSeq) -> CoeffSeq:
     if f.degree == 0:
         return CoeffSeq(np.zeros(1, dtype=complex))
     n = np.arange(1, f.degree + 1)
-    return CoeffSeq(n * f.coeffs[1:])
+    return CoeffSeq._owning(n * f.coeffs[1:])
 
 
 def shift(f: CoeffSeq) -> CoeffSeq:
@@ -150,7 +162,7 @@ def prefix_sums(f: CoeffSeq) -> CoeffSeq:
         np.cumsum(e, out=e)
         run, comp = s[-1], e[-1]
         s += e
-    return CoeffSeq(out)
+    return CoeffSeq._owning(out)
 
 
 def evaluate_on_circle(f: CoeffSeq, grid: CircleGrid) -> np.ndarray:
@@ -175,13 +187,6 @@ def slice_coeffs(f: CoeffSeq, n: int, m: int) -> CoeffSeq:
     hi = min(m + 1, f.degree + 1)
     out[lo:hi] = f.coeffs[lo:hi]
     return CoeffSeq(out)
-
-
-def block(f: CoeffSeq, N: int) -> CoeffSeq:
-    """Dyadic block: coefficients N .. 2N-1."""
-    if N < 1:
-        raise IndexOrder("block index N must be >= 1")
-    return slice_coeffs(f, N, 2 * N - 1)
 
 
 def partial_sum(f: CoeffSeq, N: int) -> CoeffSeq:

@@ -6,6 +6,11 @@ big-oh class, profiles that decay to zero the little-oh class, and profiles
 with a clear upward log-log slope indicate neither. Since any finite
 truncation underdetermines an asymptotic statement, thresholds are explicit
 configuration and "Inconclusive" is a first-class outcome.
+
+The block norms come from :class:`norms._BlockEngine`, each block on its own
+support. A profile carries the worst refinement delta of its blocks, and a
+profile above :data:`norms.REFINEMENT_FLAG` is Inconclusive whatever its
+shape.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffcore import CoeffSeq, block, derivative, partial_sum, subtract
+from .coeffcore import CoeffSeq, derivative, partial_sum, subtract
 from .errors import DegreeTooSmall, RadiusRange
-from .norms import beta_sup, hp_norm
+from .norms import REFINEMENT_FLAG, _BlockEngine, beta_sup
 
 DEFAULT_EPS_SLOPE = 0.1
 DEFAULT_EPS_TAIL = 0.5
@@ -36,6 +41,12 @@ class BlockProfile:
     entries: tuple  # of (N, scaled_norm)
     slope: float
     tail_ratio: float
+    refinement_delta: float
+
+    @property
+    def flagged(self) -> bool:
+        """True when some block stayed unresolved on its finest grid."""
+        return self.refinement_delta > REFINEMENT_FLAG
 
     @property
     def scaled_norms(self) -> np.ndarray:
@@ -49,7 +60,11 @@ class BlockProfile:
         return buf.getvalue()
 
     def sidecar_json(self, verdict: str | None = None) -> str:
-        data = {"slope": self.slope, "tail_ratio": self.tail_ratio}
+        data = {
+            "slope": self.slope,
+            "tail_ratio": self.tail_ratio,
+            "refinement_delta": self.refinement_delta,
+        }
         if verdict is not None:
             data["verdict"] = verdict
         return json.dumps(data)
@@ -74,13 +89,21 @@ def fit_tail_slope(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def block_profile(
-    f: CoeffSeq, p: float, alpha: float, K: int, strict: bool = True
+    f: CoeffSeq,
+    p: float,
+    alpha: float,
+    K: int,
+    strict: bool = True,
+    *,
+    engine: _BlockEngine | None = None,
 ) -> BlockProfile:
     """Scaled dyadic block norms N^alpha ||Delta_N f||_{H^p} for N = 2..2^K.
 
     strict=True refuses block ranges past the stored degree, where truncation
     zeros would masquerade as decay. Pass strict=False only for inputs that
-    genuinely have no tail (e.g. constants).
+    genuinely have no tail (e.g. constants). A caller profiling one f at
+    several exponents passes the engine built on f's blocks N = 2..2^K, so
+    every profile reads the same samples.
     """
     if K < 6:
         raise ValueError("need K >= 6 dyadic blocks")
@@ -90,9 +113,12 @@ def block_profile(
             "the profile would read truncation zeros"
         )
     Ns = 2 ** np.arange(1, K + 1)
-    scaled = np.array(
-        [N**alpha * hp_norm(block(f, int(N)), p).value for N in Ns]
-    )
+    if engine is None:
+        engine = _BlockEngine(f.coeffs, Ns)
+    elif engine.Ns != Ns.tolist():
+        raise ValueError("engine blocks do not match N = 2..2^K")
+    norms, delta = engine.norms(p)
+    scaled = Ns**alpha * norms
     slope = fit_tail_slope(Ns, scaled)
     top = scaled.max()
     tail_ratio = float(scaled[-1] / top) if top > 0 else 0.0
@@ -102,6 +128,7 @@ def block_profile(
         entries=tuple((int(N), float(s)) for N, s in zip(Ns, scaled)),
         slope=slope,
         tail_ratio=tail_ratio,
+        refinement_delta=delta,
     )
 
 
@@ -119,11 +146,14 @@ def classify_membership(
 
     Bounded-and-flat profiles are BigLambda, additionally-vanishing tails
     are LittleLambda, clearly growing slopes are Neither, everything else
-    is Inconclusive.
+    is Inconclusive. An unresolved profile is Inconclusive whatever its
+    shape.
     """
     scaled = profile.scaled_norms
     top = scaled.max()
-    if top == 0.0:
+    if profile.flagged:
+        space = INCONCLUSIVE
+    elif top == 0.0:
         # identically vanishing blocks: trivially in the little-oh class
         space = LITTLE_LAMBDA
     else:

@@ -67,6 +67,52 @@ def test_p_above_two_uses_q_grid():
     assert v.theorem == "Thm1c"
 
 
+def test_p_above_two_realizes_and_samples_once(monkeypatch):
+    """All 8 profiles of the q-grid read one realization of F and one
+    sample set; no block is sampled twice on the same angles."""
+    from rhalylab import norms, rhalyop
+
+    eta = SequenceSpec.power_law(1.0, 0.6, TRUNC)
+    calls = {"values": 0, "sizes": []}
+    values, sample = rhalyop.SequenceSpec.values, norms._abs_samples
+
+    def counted_values(self):
+        calls["values"] += 1
+        return values(self)
+
+    def counted_sample(block, points, shift=0.0):
+        calls["sizes"].append((len(block), points, shift))
+        return sample(block, points, shift)
+
+    monkeypatch.setattr(rhalyop.SequenceSpec, "values", counted_values)
+    monkeypatch.setattr(norms, "_abs_samples", counted_sample)
+    v = classify_hardy(eta, 3.0)
+    assert len(v.evidence) == 8  # every q undecided, then necessity at p
+    assert calls["values"] == 1
+    assert len(set(calls["sizes"])) == len(calls["sizes"])
+    assert len({n for n, _, _ in calls["sizes"]}) == 12
+    for _, ev in v.evidence:
+        assert 0.0 <= ev["refinement_delta"] <= 1e-6
+
+
+def test_unresolved_profile_is_inconclusive(monkeypatch):
+    from rhalylab import norms
+
+    eta = SequenceSpec.power_law(1.0, 0.5, 4095)
+    fast = SequenceSpec.power_law(1.0, 2.0, 4096)
+    Ns = (8, 32, 128, 512, 2048)
+    assert classify_hardy(eta, 1.5).conclusion == "NotBounded"
+    assert h1_necessary(fast, Ns).conclusion == "Compact"
+    # no grid doublings: blocks that need one stay above REFINEMENT_FLAG
+    monkeypatch.setattr(norms, "_BLOCK_DOUBLINGS", 0)
+    v = classify_hardy(eta, 1.5)
+    assert v.conclusion == "Inconclusive" and v.unresolved
+    assert dict(v.evidence)["block_profile"]["refinement_delta"] > norms.REFINEMENT_FLAG
+    assert not classify_hardy(eta, 2.0).unresolved
+    h1 = h1_necessary(fast, Ns)
+    assert h1.conclusion == "Inconclusive" and h1.unresolved
+
+
 def test_p_range_guard():
     eta = SequenceSpec.cesaro(128)
     with pytest.raises(PRange):

@@ -88,6 +88,29 @@ def test_long_inline_spec_matches_file_form(tmp_path, capsys):
     assert "error" in err
 
 
+def test_unresolved_profile_exits_3(monkeypatch, capsys):
+    from rhalylab import norms
+
+    spec = '{"kind":"power_law","c":1.0,"s":0.5,"truncation":4095}'
+    code, out, _ = run_cli(capsys, "profile", "--spec", spec, "--p", "1.5")
+    assert code == 0
+    assert json.loads(out)["profile"]["refinement_delta"] <= norms.REFINEMENT_FLAG
+    # no grid doublings: blocks that need one stay above REFINEMENT_FLAG
+    monkeypatch.setattr(norms, "_BLOCK_DOUBLINGS", 0)
+    code, out, _ = run_cli(capsys, "profile", "--spec", spec, "--p", "1.5")
+    assert code == 3
+    profile = json.loads(out)["profile"]
+    assert profile["verdict"] == "Inconclusive"
+    assert profile["refinement_delta"] > norms.REFINEMENT_FLAG
+    code, out, _ = run_cli(capsys, "classify", "--spec", spec, "--p", "1.5")
+    assert code == 3
+    assert json.loads(out)["verdict"]["conclusion"] == "Inconclusive"
+    # p = 2 needs no doubling, so it still decides
+    code, out, _ = run_cli(capsys, "classify", "--spec", spec, "--p", "2")
+    assert code == 0
+    assert json.loads(out)["verdict"]["conclusion"] == "NotBounded"
+
+
 def test_counterexample_writes_files(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "counterexample", "--p", "1.5", "--grid-J", "6", "--seed", "7",

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rhalylab.coeffcore import CoeffSeq, block, evaluate_on_circle, CircleGrid, hadamard
+from rhalylab.coeffcore import CoeffSeq, evaluate_on_circle, CircleGrid, hadamard
 from rhalylab.constructions import (
     PolygonalProfile,
     alpha_beta_range,
@@ -154,8 +154,8 @@ def test_pipeline_identity():
     H = h_poly(hardy_psi(2.0, N), N)
     combined = hadamard(H, Rf)
     G = radial_derivative_series(eta)
-    lhs = block(combined, N).coeffs[N : 2 * N]
-    rhs = block(G, N).coeffs[N : 2 * N]
+    lhs = combined.coeffs[N : 2 * N]
+    rhs = G.coeffs[N : 2 * N]
     assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) < 1e-8
 
 

@@ -1,5 +1,7 @@
-"""Property tests for the operator kernel: compensated prefix sums against
-math.fsum, the adjoint identity, and linearity."""
+"""Property tests for the operator kernel (compensated prefix sums against
+math.fsum, the adjoint identity, linearity) and for the circle quadratures
+(block norms against a direct trigonometric sum, invariance of a block norm
+under a shift, integral means nondecreasing in the radius)."""
 
 import math
 
@@ -10,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from rhalylab import coeffcore
 from rhalylab.coeffcore import CoeffSeq, prefix_sums
+from rhalylab.norms import _BlockEngine, mean_mp
 from rhalylab.rhalyop import SequenceSpec, _section_rmatvec, apply_rhaly
 
 U = 2.0**-53
@@ -110,3 +113,78 @@ def test_apply_is_linear(eta, alpha, beta, fg):
     n = np.arange(1, len(f) + 1)
     underflow = 8 * (ev * n + abs(alpha) + abs(beta) + 2) * TINY
     assert np.all(np.abs(lhs - rhs) <= 32 * U * scale + underflow)
+
+
+# --- circle quadratures ----------------------------------------------------
+
+#: relative slack for rounding in the quadratures and the oracle
+ROUND = 1e-12
+small_ints = st.integers(-3, 3)
+#: p = 1 on this block: the even samples of the first grid (the half-step
+#: refinement) change by 1.7e-7 while the error is 1.7e-6, because only the
+#: real part of the first aliased Fourier coefficient shows in that change
+ALIASED_BLOCK = [-3, 0, 2, 2, 1, -1, 2, 2, 2, 0, 2, 3, 0, 3, -2, -3,
+                 -2, -3, -1, -2, 2, 3, 2, 2, -1, 2, 1, -3, -3, 0, 3, 1]
+
+
+def trig_sum_norm(b: np.ndarray, p: float, points: int = 2**17) -> float:
+    """(mean |sum_k b_k e^{ik theta}|^p)^{1/p} on a fine grid, by Horner's rule."""
+    z = np.exp(2j * np.pi * np.arange(points) / points)
+    v = np.zeros(points, dtype=complex)
+    for c in b[::-1]:
+        v = v * z + c
+    return float(np.mean(np.abs(v) ** p)) ** (1.0 / p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((2, 4, 8, 16, 32, 64)).flatmap(
+        lambda N: st.lists(small_ints, min_size=N, max_size=N)
+    ),
+    st.sampled_from((1.0, 1.5, 3.0)),
+)
+@example(ALIASED_BLOCK, 1.0)
+def test_block_norm_matches_trig_sum_within_its_delta(block, p):
+    b = np.array(block, dtype=complex)
+    N = len(b)
+    coeffs = np.concatenate([np.ones(N), b])  # block N is b
+    (value,), delta = _BlockEngine(coeffs, [N]).norms(p)
+    exact = trig_sum_norm(b, p)
+    assert abs(value - exact) <= (delta + ROUND) * exact, (value, exact, delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(small_ints, min_size=1, max_size=32).filter(any),
+    st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+    st.data(),
+)
+def test_block_norm_invariant_under_shift(poly, p, data):
+    """|z^k P| = |P| on the circle: P placed at any offset inside any block
+    that holds it gives the same norm, within the two reported deltas."""
+    b = np.array(poly, dtype=complex)
+    got = []
+    for N in (32, 64, 256, 1024):
+        k = data.draw(st.integers(0, N - len(b)))
+        coeffs = np.zeros(2 * N, dtype=complex)
+        coeffs[N + k : N + k + len(b)] = b
+        (value,), delta = _BlockEngine(coeffs, [N]).norms(p)
+        got.append((value, delta))
+    (v0, d0) = got[0]
+    for v, d in got[1:]:
+        assert abs(v - v0) <= (d0 + d + ROUND) * v0, (p, got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arrays(complex, st.integers(1, 41), elements=st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False)).filter(np.any),
+    st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+    st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5, unique=True),
+)
+def test_integral_means_nondecreasing_in_radius(c, p, radii):
+    f = CoeffSeq(c)
+    reports = [mean_mp(f, r, p) for r in sorted(radii)]
+    for lo, hi in zip(reports, reports[1:]):
+        slack = lo.refinement_delta + hi.refinement_delta + ROUND
+        assert lo.value <= hi.value * (1.0 + slack), (lo, hi)

@@ -66,6 +66,23 @@ def test_opnorm_matches_opnorm_estimate_schema(capsys, p):
 def test_profile_matches_block_profile_sidecar_schema(capsys):
     data = run_cli(capsys, "profile", "--spec", POWER_LAW, "--p", "2")
     validate(data["profile"], "block_profile_sidecar")
+    assert data["profile"]["refinement_delta"] >= 0
+
+
+def test_refinement_delta_is_optional_and_nonnegative(capsys):
+    data = run_cli(capsys, "classify", "--spec", POWER_LAW, "--p", "3")
+    evidence = data["verdict"]["evidence"]
+    assert all(e["refinement_delta"] >= 0 for e in evidence if "entries" in e)
+    # documents written before the field existed still validate
+    validate({"slope": 0.1, "tail_ratio": 0.5}, "block_profile_sidecar")
+    validate({"conclusion": "Bounded", "conclusions": ["Bounded"], "theorem": "Thm1a",
+              "space": "Hardy(p=2)", "evidence": [{"name": "block_profile"}]}, "verdict")
+    with pytest.raises(ValidationError):
+        validate({"slope": 0.1, "tail_ratio": 0.5, "refinement_delta": -1e-9},
+                 "block_profile_sidecar")
+    bad = dict(data["verdict"], evidence=[dict(evidence[0], refinement_delta=-1.0)])
+    with pytest.raises(ValidationError):
+        validate(bad, "verdict")
 
 
 def test_specs_and_measures_match_their_schemas():
