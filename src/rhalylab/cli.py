@@ -13,6 +13,7 @@ which makes `profile` and `classify` Inconclusive), 4 suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -187,7 +188,7 @@ def cmd_opnorm(args) -> int:
 
 def cmd_counterexample(args) -> int:
     K = args.grid_J if args.grid_J is not None else 10
-    result = construct_upsilon(args.p, K, seed=args.seed)
+    result = construct_upsilon(args.p, K)
     csv_lines = ["k,achieved_norm"]
     csv_lines += [f"{k},{v!r}" for k, v in enumerate(result.achieved)]
     _write_csv(args.out, "counterexample_blocks", "\n".join(csv_lines) + "\n")
@@ -245,7 +246,9 @@ def cmd_suite(args) -> int:
 # --- argument parsing ------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rhalylab",
         description="Averaging operators on Hardy and Bergman spaces: "

@@ -3,8 +3,9 @@
 Contains the concentrated rational test family f_N and its Bergman rescaling,
 the polygonal Lipschitz profiles built from its partial-sum averages, the
 kernel bound |(1 - e^{i theta})^2 W_n| <= 14 L(Psi), Rademacher sign machinery
-with empirical Khinchine constants, and the best-of-search sign series whose
-dyadic derivative blocks grow like 2^{k/2}.
+with empirical Khinchine constants, and the sign series whose dyadic
+derivative blocks carry Rudin-Shapiro signs, so that each block's H^p norm,
+1 <= p < 2, is provably at least 2^{-(2-p)/(2p)} 2^{k/2}.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffcore import CoeffSeq
-from .errors import (
-    AlphaRange,
-    BlockBudgetExhausted,
-    ShapeMismatch,
-    TruncationTooSmall,
-)
+from .errors import AlphaRange, ShapeMismatch, TruncationTooSmall
 from .rhalyop import SequenceSpec
 
 GEOMETRIC_TAIL_TOL = 1e-10
@@ -208,6 +204,32 @@ def _all_sign_vectors(length: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int8)
 
 
+def _sign_moments(
+    C: np.ndarray, p: float, exact_limit: int, mc_budget: int, seed: int
+) -> tuple[np.ndarray, bool]:
+    """Normalized p-th sign moments of each column of the L x R amplitudes C.
+
+    One sign set (every pattern when L <= exact_limit, else mc_budget seeded
+    draws) serves all R columns through the product signs @ C.
+    """
+    length = C.shape[0]
+    if length <= exact_limit:
+        signs = _all_sign_vectors(length)
+        exact = True
+    else:
+        rng = np.random.default_rng(seed)
+        signs = (2 * rng.integers(0, 2, size=(mc_budget, length)) - 1).astype(np.int8)
+        exact = False
+    # chunks of sign rows keep the complex product near 16 MB for any length
+    rows = max(1, (1 << 20) // length)
+    total = np.zeros(C.shape[1])
+    for lo in range(0, len(signs), rows):
+        # rows of the R x rows product are contiguous, so np.sum is pairwise
+        total += np.sum(np.abs(C.T @ signs[lo : lo + rows].T) ** p, axis=1)
+    denoms = np.sum(np.abs(C) ** 2, axis=0) ** (p / 2.0)
+    return total / len(signs) / denoms, exact
+
+
 def khinchine_ratio(
     c: np.ndarray,
     p: float,
@@ -221,18 +243,9 @@ def khinchine_ratio(
     by exhaustive enumeration when 2^{m+1} is affordable and by seeded
     Monte Carlo otherwise.
     """
-    c = np.asarray(c, dtype=complex)
-    length = len(c)
-    if length <= exact_limit:
-        signs = _all_sign_vectors(length)
-        exact = True
-    else:
-        rng = np.random.default_rng(seed)
-        signs = (2 * rng.integers(0, 2, size=(mc_budget, length)) - 1).astype(np.int8)
-        exact = False
-    moment = float(np.mean(np.abs(signs @ c) ** p))
-    denom = float(np.sum(np.abs(c) ** 2)) ** (p / 2.0)
-    return moment / denom, exact
+    C = np.asarray(c, dtype=complex)[:, None]
+    ratios, exact = _sign_moments(C, p, exact_limit, mc_budget, seed)
+    return float(ratios[0]), exact
 
 
 def khinchine_report(
@@ -247,22 +260,18 @@ def khinchine_report(
 
     The normalized p-th moment is scanned over the phase rotations
     c_j -> c_j e^{i j theta}; its min and max bracket the constants that
-    Khinchine's inequality guarantees exist.
+    Khinchine's inequality guarantees exist. Every rotation uses the same
+    signs, so the moments of all n_theta rotations come from one product.
     """
     c = np.asarray(c, dtype=complex)
-    ratios = []
-    exact = True
-    for j in range(n_theta):
-        theta = 2.0 * np.pi * j / n_theta
-        rotated = c * np.exp(1j * np.arange(len(c)) * theta)
-        ratio, was_exact = khinchine_ratio(rotated, p, exact_limit, mc_budget, seed)
-        exact = exact and was_exact
-        ratios.append(ratio)
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    C = c[:, None] * np.exp(1j * np.arange(len(c))[:, None] * thetas[None, :])
+    ratios, exact = _sign_moments(C, p, exact_limit, mc_budget, seed)
     return RademacherReport(
         m=len(c) - 1,
         p=p,
-        lower_const=float(min(ratios)),
-        upper_const=float(max(ratios)),
+        lower_const=float(ratios.min()),
+        upper_const=float(ratios.max()),
         exact=exact,
     )
 
@@ -273,10 +282,9 @@ def khinchine_report(
 @dataclass(frozen=True)
 class UpsilonResult:
     seq: CoeffSeq
-    achieved: tuple  # per-block best H^p norm of the signed derivative block
+    achieved: tuple  # per-block H^p norm of the signed derivative block
     signs: tuple  # per-block sign tuples
     p: float
-    seed: int
 
     def sequence_spec(self) -> SequenceSpec:
         """The weight sequence with |eta_n| = 1/n realized by this series."""
@@ -293,92 +301,56 @@ class UpsilonResult:
         return json.dumps(
             {
                 "p": self.p,
-                "seed": self.seed,
                 "achieved": list(self.achieved),
                 "signs": [list(s) for s in self.signs],
             }
         )
 
 
-def _best_sign_block(
-    length: int, p: float, budget: int, exhaustive_limit: int, rng
-) -> tuple[np.ndarray, float, float]:
-    """Best-of-search signs maximizing ||sum_j eps_j z^j||_{H^p}.
-
-    Returns (signs, best norm estimate on the search grid, mean norm^p over
-    the candidates). Global sign flips leave the norm unchanged, so the
-    first sign is pinned to +1 in exhaustive mode.
-    """
-    M = max(64, 8 * length)
-    if length <= exhaustive_limit:
-        if length == 1:
-            cands = np.ones((1, 1), dtype=np.int8)
-        else:
-            tail = _all_sign_vectors(length - 1)
-            cands = np.concatenate(
-                [np.ones((len(tail), 1), dtype=np.int8), tail], axis=1
-            )
-    else:
-        cands = (2 * rng.integers(0, 2, size=(budget, length)) - 1).astype(np.int8)
-    best_val = -1.0
-    best_signs = None
-    mean_pow_total = 0.0
-    chunk = max(1, (1 << 21) // M)
-    for lo in range(0, len(cands), chunk):
-        batch = cands[lo : lo + chunk].astype(float)
-        vals = np.fft.ifft(batch, n=M, axis=1) * M
-        norms = np.mean(np.abs(vals) ** p, axis=1) ** (1.0 / p)
-        mean_pow_total += float(np.sum(norms**p))
-        i = int(np.argmax(norms))
-        if norms[i] > best_val:
-            best_val = float(norms[i])
-            best_signs = cands[lo + i].copy()
-    mean_pow = mean_pow_total / len(cands)
-    return best_signs, best_val, mean_pow
-
-
 def construct_upsilon(
     p: float,
     K: int,
-    budget_per_block: int = 4096,
-    seed: int = 7,
-    exhaustive_limit: int = 16,
+    *,
+    seed: int | None = None,
+    budget_per_block: int = 0,
+    exhaustive_limit: int = 0,
 ) -> UpsilonResult:
     """Signed version of log 1/(1-z) whose dyadic derivative blocks are large.
 
-    Block k (coefficients 2^k .. 2^{k+1}-1, magnitudes 1/n) gets the sign
-    pattern maximizing the H^p norm of the signed derivative block; by the
-    Khinchine averaging bound the best pattern reaches a constant multiple
-    of 2^{k/2}.
+    Block k (coefficients 2^k .. 2^{k+1}-1, magnitudes 1/n) takes its signs
+    from the Rudin-Shapiro polynomial P_k: P_0 = Q_0 = 1,
+    P_{k+1} = P_k + z^{2^k} Q_k and Q_{k+1} = P_k - z^{2^k} Q_k. On the
+    circle |P_k|^2 + |Q_k|^2 = 2N with N = 2^k, so |P_k| <= sqrt(2N).
+    With Parseval, ||P_k||_2^2 = N, Hoelder's ||P||_2^2 <= ||P||_inf^{2-p}
+    ||P||_p^p gives ||P_k||_{H^p} >= 2^{-(2-p)/(2p)} sqrt(N) for
+    1 <= p < 2, with no search and no seed. Block k's signs are a prefix of
+    block k+1's. `achieved` is the trapezoid H^p norm of each sign block on
+    M = max(64, 8N) angles; the bound holds there exactly, because discrete
+    Parseval holds for M >= N and the sup bound at every point.
+
+    The keyword-only seed, budget_per_block and exhaustive_limit are ignored;
+    they exist only for the perfbench workload and tracer, which still pass
+    or read them.
     """
     if not 1.0 <= p < 2.0:
         raise ValueError("the construction targets 1 <= p < 2")
     if not 1 <= K <= 14:
         raise ValueError("K must lie in 1..14")
-    rng = np.random.default_rng(seed)
-    degree = 2**K - 1
-    coeffs = np.zeros(degree + 1, dtype=complex)
+    P = Q = np.ones(1, dtype=np.int8)
+    coeffs = np.zeros(2**K, dtype=complex)
     achieved = []
     all_signs = []
     for k in range(K):
         N = 2**k
-        length = N
-        signs, best, mean_pow = _best_sign_block(
-            length, p, budget_per_block, exhaustive_limit, rng
-        )
-        if best < mean_pow ** (1.0 / p) - 1e-12:
-            raise BlockBudgetExhausted(
-                f"block {k}: best norm {best} below the sign-average "
-                f"{mean_pow ** (1.0 / p)}"
-            )
-        n = np.arange(N, 2 * N)
-        coeffs[n] = signs / n
-        achieved.append(best)
-        all_signs.append(tuple(int(s) for s in signs))
+        M = max(64, 8 * N)
+        vals = np.fft.ifft(P.astype(float), n=M) * M
+        achieved.append(float(np.mean(np.abs(vals) ** p) ** (1.0 / p)))
+        coeffs[N : 2 * N] = P / np.arange(N, 2 * N)
+        all_signs.append(tuple(int(s) for s in P))
+        P, Q = np.concatenate([P, Q]), np.concatenate([P, -Q])
     return UpsilonResult(
         seq=CoeffSeq(coeffs),
         achieved=tuple(achieved),
         signs=tuple(all_signs),
         p=p,
-        seed=seed,
     )

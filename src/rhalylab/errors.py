@@ -47,7 +47,3 @@ class NotMonotone(RhalyError):
 
 class ShapeMismatch(RhalyError):
     """Array argument has the wrong length for the requested construction."""
-
-
-class BlockBudgetExhausted(RhalyError):
-    """Sign search failed to reach the required block norm threshold."""

@@ -25,7 +25,7 @@ TRUNC = 8191
 
 @pytest.fixture(scope="module")
 def upsilon_spec():
-    return construct_upsilon(1.5, 10, budget_per_block=1024, seed=7).sequence_spec()
+    return construct_upsilon(1.5, 10).sequence_spec()
 
 
 def test_averaging_weights_bounded_not_compact():

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import argparse
 import json
 
 import numpy as np
@@ -113,8 +114,7 @@ def test_unresolved_profile_exits_3(monkeypatch, capsys):
 
 def test_counterexample_writes_files(tmp_path, capsys):
     code, out, _ = run_cli(
-        capsys, "counterexample", "--p", "1.5", "--grid-J", "6", "--seed", "7",
-        "--out", str(tmp_path),
+        capsys, "counterexample", "--p", "1.5", "--grid-J", "6", "--out", str(tmp_path),
     )
     assert code == 0
     assert (tmp_path / "counterexample.json").exists()
@@ -122,6 +122,30 @@ def test_counterexample_writes_files(tmp_path, capsys):
     assert csv.splitlines()[0] == "k,achieved_norm"
     data = json.loads(out)
     assert data["sequence_spec"]["kind"] == "signed"
+
+
+def test_parser_built_once_across_calls(monkeypatch, capsys):
+    """Repeated in-process calls reuse one parser and print what a fresh one does."""
+    argvs = (
+        ("norm", "--spec", "[1, 2, 0.5]", "--p", "1.5"),
+        ("basis-check", "--spec", '{"knots_x":[0,2,4],"knots_y":[0,2,0]}', "--trunc", "8"),
+    )
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "rhalylab":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert [run_cli(capsys, *argv) for argv in argvs] == fresh
+    assert len(built) == 1
 
 
 def test_profile_outputs(tmp_path, capsys):

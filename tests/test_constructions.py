@@ -219,6 +219,31 @@ def test_khinchine_p4_exact_rational():
     assert abs(ratio - 2.5) < 1e-14
 
 
+@pytest.mark.parametrize("L", [13, 40])
+def test_khinchine_report_matches_per_rotation_loop(L):
+    """One batched product equals a loop over the rotations, exact and Monte Carlo."""
+    rng = np.random.default_rng(L)
+    c = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    for p in (1.5, 4.0):
+        rep = khinchine_report(c, p, exact_limit=16, mc_budget=3000, seed=5)
+        assert rep.exact == (L <= 16)
+        ratios = []
+        for j in range(16):
+            rotated = c * np.exp(1j * np.arange(L) * (2.0 * np.pi * j / 16))
+            if rep.exact:
+                idx = np.arange(2**L)[:, None] >> np.arange(L)
+                signs = 2 * (idx & 1) - 1
+            else:
+                signs = 2 * np.random.default_rng(5).integers(0, 2, size=(3000, L)) - 1
+            moment = np.mean(np.abs(signs @ rotated) ** p)
+            ratios.append(moment / np.sum(np.abs(rotated) ** 2) ** (p / 2))
+        assert abs(rep.lower_const - min(ratios)) <= 1e-13 * min(ratios)
+        assert abs(rep.upper_const - max(ratios)) <= 1e-13 * max(ratios)
+        ratio, exact = khinchine_ratio(c, p, exact_limit=16, mc_budget=3000, seed=5)
+        assert exact == rep.exact
+        assert abs(ratio - ratios[0]) <= 1e-13 * ratios[0]
+
+
 def test_khinchine_monte_carlo_mode():
     rep = khinchine_report(np.ones(30), 2.0, mc_budget=5000, seed=3)
     assert not rep.exact
@@ -235,24 +260,46 @@ def test_upsilon_small_cases():
 
 
 def test_upsilon_properties():
-    ups = construct_upsilon(1.5, 8, budget_per_block=512, seed=7)
-    coeffs = ups.seq.coeffs
-    n = np.arange(1, len(coeffs))
-    assert np.allclose(np.abs(coeffs[1:]), 1.0 / n)
-    for k, a in enumerate(ups.achieved):
-        assert a >= 0.5 * 2 ** (k / 2)
-    spec = ups.sequence_spec()
-    assert np.allclose(spec.values()[: len(coeffs)], coeffs)
-    data = json.loads(ups.to_json())
-    assert data["seed"] == 7
-    assert len(data["signs"]) == 8
+    for p in (1.0, 1.5, 1.99):
+        ups = construct_upsilon(p, 8)
+        coeffs = ups.seq.coeffs
+        n = np.arange(1, len(coeffs))
+        assert np.allclose(np.abs(coeffs[1:]), 1.0 / n)
+        for k, a in enumerate(ups.achieved):
+            assert a >= 2.0 ** (-(2.0 - p) / (2.0 * p)) * np.sqrt(2**k)
+        spec = ups.sequence_spec()
+        assert np.allclose(spec.values()[: len(coeffs)], coeffs)
+        data = json.loads(ups.to_json())
+        assert "seed" not in data
+        assert len(data["signs"]) == 8
+
+
+def test_upsilon_signs_are_rudin_shapiro_prefixes():
+    """Block k carries the first 2^k Rudin-Shapiro terms (-1)^{#11 in binary j}."""
+    ups = construct_upsilon(1.5, 10)
+    rs = [(-1) ** bin(j & (j >> 1)).count("1") for j in range(2**9)]
+    for k, signs in enumerate(ups.signs):
+        assert list(signs) == rs[: 2**k]
+
+
+def test_upsilon_blocks_below_sup_bound():
+    """|P_k|^2 + |Q_k|^2 = 2N caps every block's norm and sup at sqrt(2N)."""
+    ups = construct_upsilon(1.5, 10)
+    for signs, achieved in zip(ups.signs, ups.achieved):
+        N = len(signs)
+        sup = np.abs(np.fft.fft(signs, n=64 * N)).max()
+        assert achieved <= np.sqrt(2 * N)
+        assert sup <= np.sqrt(2 * N) * (1 + 1e-12)
 
 
 def test_upsilon_deterministic():
-    a = construct_upsilon(1.5, 7, budget_per_block=256, seed=7)
-    b = construct_upsilon(1.5, 7, budget_per_block=256, seed=7)
-    assert a.signs == b.signs
-    assert a.achieved == b.achieved
+    """The construction has no randomness: any seed gives the same result."""
+    a = construct_upsilon(1.5, 7)
+    for seed in (None, 0, 7, 2**31 - 1):
+        b = construct_upsilon(1.5, 7, seed=seed)
+        assert a.signs == b.signs
+        assert a.achieved == b.achieved
+        assert np.array_equal(a.seq.coeffs, b.seq.coeffs)
 
 
 def test_upsilon_domain_guards():

@@ -85,6 +85,13 @@ def test_refinement_delta_is_optional_and_nonnegative(capsys):
         validate(bad, "verdict")
 
 
+def test_counterexample_matches_schema(capsys):
+    data = run_cli(capsys, "counterexample", "--p", "1.5", "--grid-J", "8")
+    validate(data, "counterexample")
+    with pytest.raises(ValidationError):
+        validate(dict(data, result=dict(data["result"], seed=7)), "counterexample")
+
+
 def test_specs_and_measures_match_their_schemas():
     mu = DiscreteMeasure(np.array([0.0, 0.25, 0.5, 0.75]), np.array([0.1, 0.2, 0.3, 0.4]))
     validate(json.loads(mu.to_json()), "discrete_measure")
@@ -118,3 +125,11 @@ def test_nested_spec_references_are_enforced():
     for instance in (bad_base, bad_measure):
         with pytest.raises(ValidationError):
             validate(instance, "sequence_spec")
+    # a reference reached through another schema's reference still resolves
+    measure_base = dict(bad_measure, measure={"atoms": [{"t": 0.5, "mass": 1.0}]})
+    nested = {"kind": "signed", "truncation": 1, "signs": [1, 1], "base": measure_base}
+    result = {"p": 1.5, "achieved": [1.0], "signs": [[1]]}
+    validate(nested, "sequence_spec")
+    validate({"sequence_spec": nested, "result": result}, "counterexample")
+    with pytest.raises(ValidationError):
+        validate(dict(nested, base=bad_measure), "sequence_spec")
