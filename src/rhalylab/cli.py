@@ -264,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--alpha", type=float, default=None)
         sp.add_argument("--q", type=float, default=None)
         sp.add_argument("--trunc", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
         sp.add_argument("--grid-M", dest="grid_M", type=int, default=None)
         sp.add_argument("--grid-J", dest="grid_J", type=int, default=None)
@@ -288,6 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("opnorm", help="operator norm estimate (section or lower bound)")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_opnorm)
 
     sp = sub.add_parser("counterexample", help="sign-series counterexample generator")

@@ -200,8 +200,14 @@ class RademacherReport:
 def _all_sign_vectors(length: int) -> np.ndarray:
     """All 2^length sign patterns as a (2^length, length) array of +-1."""
     idx = np.arange(2**length, dtype=np.uint32)
-    bits = (idx[:, None] >> np.arange(length)[None, :]) & 1
-    return (2 * bits - 1).astype(np.int8)
+    # one int8 column at a time: a (2^length, length) index array would be
+    # eight times the table
+    signs = np.empty((len(idx), length), dtype=np.int8)
+    for j in range(length):
+        signs[:, j] = (idx >> j) & 1
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def _sign_moments(

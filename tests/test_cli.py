@@ -57,6 +57,18 @@ def test_opnorm_matches_svd(capsys):
     assert abs(lower - oracle) < 1e-8
 
 
+def test_seed_is_an_opnorm_option_only(capsys):
+    code, out, _ = run_cli(
+        capsys, "opnorm", "--spec", '{"kind":"cesaro","truncation":63}', "--p", "2",
+        "--seed", "5",
+    )
+    assert code == 0
+    assert json.loads(out)["run_config"]["seed"] == 5
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--spec", "[1]", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_bad_input_exits_2(capsys):
     code, _, err = run_cli(capsys, "classify", "--spec", "not json", "--p", "2")
     assert code == 2

@@ -1,6 +1,7 @@
 """Extremal families, polygonal kernels, sign machinery."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from rhalylab.coeffcore import CoeffSeq, evaluate_on_circle, CircleGrid, hadamard
 from rhalylab.constructions import (
     PolygonalProfile,
+    _all_sign_vectors,
     alpha_beta_range,
     bergman_gn,
     bergman_psi,
@@ -248,6 +250,29 @@ def test_khinchine_monte_carlo_mode():
     rep = khinchine_report(np.ones(30), 2.0, mc_budget=5000, seed=3)
     assert not rep.exact
     assert abs(rep.lower_const - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("length", [1, 5, 13, 16])
+def test_all_sign_vectors_match_bitwise_reference(length):
+    want = np.array(
+        [[1 if (i >> j) & 1 else -1 for j in range(length)] for i in range(2**length)],
+        dtype=np.int8,
+    )
+    got = _all_sign_vectors(length)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, want)
+
+
+def test_exact_khinchine_sign_table_memory():
+    # 2^20 x 20 signs are 21 MB as int8; an int64 index table would be 168 MB
+    tracemalloc.start()
+    try:
+        rep = khinchine_report(np.ones(20) + 0.5j, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.exact
+    assert peak < 64e6
 
 
 def test_upsilon_small_cases():

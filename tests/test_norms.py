@@ -1,9 +1,14 @@
 """Integral means and norm evaluations against closed-form oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
+from rhalylab import norms
 from rhalylab.coeffcore import CoeffSeq
+from rhalylab.constructions import bergman_gn
 from rhalylab.errors import AlphaRange, ParamOrder, RadiusRange
 from rhalylab.norms import (
     bergman_norm,
@@ -15,6 +20,7 @@ from rhalylab.norms import (
     mean_mp,
     xqp_norm,
 )
+from rhalylab.rhalyop import SequenceSpec, generating_function
 
 
 def test_mean_mp_constant():
@@ -158,3 +164,67 @@ def test_norm_report_json():
 
     data = json.loads(rep.to_json())
     assert set(data) == {"value", "grid_points", "radial_nodes", "refinement_delta"}
+
+
+def _one_shot_mp_powers(f, p, nodes, M):
+    n = np.arange(f.degree + 1)
+    damped = nodes[:, None] ** n[None, :] * f.coeffs[None, :]
+    vals = np.fft.ifft(damped, n=M, axis=1) * M
+    return np.mean(np.abs(vals) ** p, axis=1)
+
+
+@pytest.mark.parametrize("M, divides", [(4096, True), (5120, False)])
+def test_streamed_nodes_match_one_batched_fft(M, divides):
+    rows = max(1, norms._NODE_CHUNK_BYTES // (16 * M))
+    assert (64 % rows == 0 and 128 % rows == 0) == divides
+    rng = np.random.default_rng(11)
+    f = CoeffSeq(rng.standard_normal(500) + 1j * rng.standard_normal(500))
+    for count in (64, 128):
+        nodes, _ = norms._jacobi_rule(0.5, count)
+        for p in (1.5, 2.0, 3.0):
+            assert np.array_equal(
+                norms._mp_powers_on_nodes(f, p, nodes, M), _one_shot_mp_powers(f, p, nodes, M)
+            )
+
+
+def test_bergman_norm_memory_is_bounded_by_node_chunks():
+    f = generating_function(SequenceSpec.cesaro(8191))
+    tracemalloc.start()
+    try:
+        bergman_norm(f, 1.5, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one batched FFT over the 128 nodes of the doubled rule would hold
+    # 128 x 65536 complex samples, 134 MB
+    assert peak < 40e6
+
+
+def _is_5_smooth(m: int) -> bool:
+    for q in (2, 3, 5):
+        while m % q == 0:
+            m //= q
+    return m == 1
+
+
+def test_fast_length_is_smallest_5_smooth():
+    smooth = [m for m in range(1, 2**15 + 1) if _is_5_smooth(m)]
+    i = 0
+    for n in range(1, 20001):
+        while smooth[i] < n:
+            i += 1
+        assert norms._fast_length(n) == smooth[i]
+    for k in range(25):
+        assert norms._fast_length(2**k) == 2**k
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_bergman_gn_on_fast_length_matches_closed_form(alpha):
+    # g_N has degree 40N, so the default grid 8(40N + 1) is not 5-smooth
+    g = bergman_gn(2.0, alpha, 128)
+    rep = bergman_norm(g, 2.0, alpha)
+    assert rep.grid_points == norms._fast_length(8 * (g.degree + 1)) != 8 * (g.degree + 1)
+    n = np.arange(g.degree + 1, dtype=float)
+    w = np.exp(gammaln(n + 1.0) + gammaln(alpha + 2.0) - gammaln(n + alpha + 2.0))
+    exact = np.sqrt(np.sum(np.abs(g.coeffs) ** 2 * w))
+    assert abs(rep.value - exact) / exact < 1e-10 + 2.0 * rep.refinement_delta

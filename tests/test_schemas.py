@@ -88,6 +88,8 @@ def test_refinement_delta_is_optional_and_nonnegative(capsys):
 def test_counterexample_matches_schema(capsys):
     data = run_cli(capsys, "counterexample", "--p", "1.5", "--grid-J", "8")
     validate(data, "counterexample")
+    # the construction takes no seed, so its run_config records none
+    assert "seed" not in data["run_config"]
     with pytest.raises(ValidationError):
         validate(dict(data, result=dict(data["result"], seed=7)), "counterexample")
 
