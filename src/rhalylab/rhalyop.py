@@ -133,8 +133,12 @@ class SequenceSpec:
     # --- realization --------------------------------------------------
 
     def values(self) -> np.ndarray:
-        """eta_0 .. eta_truncation as a complex vector."""
-        n = np.arange(self.truncation + 1)
+        """eta_0 .. eta_truncation as a complex vector.
+
+        The closed forms are written into the real part of the output, and
+        the signs are applied to it in place, so realizing eta holds one
+        float temporary besides the result.
+        """
         if self.kind == "literal":
             if len(self.values_list) < self.truncation + 1:
                 out = np.zeros(self.truncation + 1, dtype=complex)
@@ -142,13 +146,23 @@ class SequenceSpec:
                 return out
             return np.array(self.values_list[: self.truncation + 1], dtype=complex)
         if self.kind == "power_law":
-            return (self.c * (n + 1.0) ** (-self.s)).astype(complex)
+            x = np.arange(1.0, self.truncation + 2.0)
+            # `**=` takes the fast paths `**` takes for some exponents, which
+            # np.power does not, so this matches (n + 1) ** -s bit for bit
+            x **= -self.s
+            out = np.zeros(self.truncation + 1, dtype=complex)
+            np.multiply(self.c, x, out=out.real)
+            return out
         if self.kind == "cesaro":
-            return (1.0 / (n + 1.0)).astype(complex)
+            out = np.zeros(self.truncation + 1, dtype=complex)
+            np.divide(1.0, np.arange(1.0, self.truncation + 2.0), out=out.real)
+            return out
         if self.kind == "measure_moments":
             return _moments(self.measure, self.truncation).astype(complex)
         if self.kind == "signed":
-            return np.array(self.signs, dtype=np.int8) * self.base.values()
+            out = self.base.values()
+            np.multiply(np.array(self.signs, dtype=np.int8), out, out=out)
+            return out
         raise AssertionError("unreachable")
 
     def is_certified_decreasing(self) -> bool:
@@ -274,11 +288,25 @@ def apply_rhaly(eta: SequenceSpec, f: CoeffSeq) -> CoeffSeq:
 def _apply_realized(ev: np.ndarray, f: CoeffSeq) -> CoeffSeq:
     """:func:`apply_rhaly` with eta already realized as ``ev = eta.values()``,
     so callers applying one operator many times realize it once."""
+    return CoeffSeq._owning(_apply_array(ev, f))
+
+
+def _apply_array(ev: np.ndarray, f: CoeffSeq) -> np.ndarray:
+    """Coefficients of R f as a fresh, writable array.
+
+    The prefix sums are multiplied by eta in place: their CoeffSeq is
+    dropped here, so its array can be reused, and an application at degree
+    d holds no complex array of length d + 1 besides its input, eta and
+    its result.
+    """
     if f.degree >= len(ev):
         raise TruncationMismatch(
             f"degree {f.degree} exceeds sequence truncation {len(ev) - 1}"
         )
-    return CoeffSeq._owning(ev[: f.degree + 1] * prefix_sums(f).coeffs)
+    s = prefix_sums(f).coeffs
+    s.flags.writeable = True
+    np.multiply(ev[: f.degree + 1], s, out=s)
+    return s
 
 
 def generating_function(eta: SequenceSpec) -> CoeffSeq:
@@ -324,7 +352,9 @@ class TruncatedRhaly:
 
     def tail(self, f: CoeffSeq) -> CoeffSeq:
         """(R - R_N) f, the operator realized by zeroing eta_0..eta_N."""
-        return _zero_head(_apply_realized(self._ev, f), self.N)
+        out = _apply_array(self._ev, f)
+        out[: self.N + 1] = 0
+        return CoeffSeq._owning(out)
 
 
 def _zero_head(g: CoeffSeq, N: int) -> CoeffSeq:

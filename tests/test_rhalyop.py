@@ -1,6 +1,7 @@
 """Operator application, sequence specs, measures, and norm estimation."""
 
 import json
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -159,6 +160,50 @@ def test_truncated_operator():
     # tail operator zeroes the head
     tail = TruncatedRhaly(eta, 1).tail(f)
     assert np.allclose(tail.coeffs, [0.0, 0.0, 1.0])
+
+
+def test_closed_form_values_match_direct_formulas_bitwise():
+    T = 4099
+    n = np.arange(T + 1)
+    rng = np.random.default_rng(5)
+    signs = 2 * rng.integers(0, 2, T + 1) - 1
+    cases = [
+        (SequenceSpec.cesaro(T), (1.0 / (n + 1.0)).astype(complex)),
+        (SequenceSpec.power_law(1.3, 0.7316, T), (1.3 * (n + 1.0) ** -0.7316).astype(complex)),
+        # exponents numpy's power has fast paths for
+        (SequenceSpec.power_law(0.7, 1.0, T), (0.7 * (n + 1.0) ** -1.0).astype(complex)),
+        (SequenceSpec.power_law(2.0, 2, T), (2.0 * (n + 1.0) ** -2).astype(complex)),
+        (
+            SequenceSpec.signed(SequenceSpec.power_law(1.1, 0.5, T), signs),
+            signs.astype(np.int8) * (1.1 * (n + 1.0) ** -0.5).astype(complex),
+        ),
+    ]
+    for spec, direct in cases:
+        assert spec.values().tobytes() == direct.tobytes()
+
+
+def test_application_holds_no_extra_full_length_array():
+    d = 1 << 18
+    rng = np.random.default_rng(6)
+    f = CoeffSeq(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+    eta = SequenceSpec.signed(SequenceSpec.cesaro(d), 2 * rng.integers(0, 2, d + 1) - 1)
+    expected = eta.values() * np.cumsum(f.coeffs)
+    full = 16 * (d + 1)
+    for head, run in (
+        (-1, lambda: apply_rhaly(eta, f)),
+        (d // 2, lambda: TruncatedRhaly(eta, d // 2).tail(f)),
+    ):
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # eta and the result plus chunk-sized temporaries; a product or a
+        # copy of the result outside them would be a third full array
+        assert peak < 2.5 * full
+        assert not np.any(out.coeffs[: head + 1])
+        assert np.allclose(out.coeffs[head + 1 :], expected[head + 1 :], rtol=1e-9, atol=1e-12)
 
 
 def test_opnorm_h2_trivial_cases():
