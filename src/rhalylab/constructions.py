@@ -210,6 +210,25 @@ def _all_sign_vectors(length: int) -> np.ndarray:
     return signs
 
 
+def _sign_chunks(length: int, rows: int, exact_limit: int, mc_budget: int, seed: int):
+    """The sign set of :func:`_sign_moments` as int8 chunks of at most `rows`
+    rows: every pattern when length <= exact_limit, else mc_budget seeded
+    draws. Each chunk is drawn and cast to int8 on its own; the chunks
+    continue one stream, so together they equal one (mc_budget, length) draw.
+    """
+    if length <= exact_limit:
+        table = _all_sign_vectors(length)
+        for lo in range(0, len(table), rows):
+            yield table[lo : lo + rows]
+        return
+    rng = np.random.default_rng(seed)
+    for lo in range(0, mc_budget, rows):
+        signs = rng.integers(0, 2, size=(min(rows, mc_budget - lo), length)).astype(np.int8)
+        signs *= 2
+        signs -= 1
+        yield signs
+
+
 def _sign_moments(
     C: np.ndarray, p: float, exact_limit: int, mc_budget: int, seed: int
 ) -> tuple[np.ndarray, bool]:
@@ -219,21 +238,16 @@ def _sign_moments(
     draws) serves all R columns through the product signs @ C.
     """
     length = C.shape[0]
-    if length <= exact_limit:
-        signs = _all_sign_vectors(length)
-        exact = True
-    else:
-        rng = np.random.default_rng(seed)
-        signs = (2 * rng.integers(0, 2, size=(mc_budget, length)) - 1).astype(np.int8)
-        exact = False
     # chunks of sign rows keep the complex product near 16 MB for any length
     rows = max(1, (1 << 20) // length)
     total = np.zeros(C.shape[1])
-    for lo in range(0, len(signs), rows):
+    count = 0
+    for signs in _sign_chunks(length, rows, exact_limit, mc_budget, seed):
         # rows of the R x rows product are contiguous, so np.sum is pairwise
-        total += np.sum(np.abs(C.T @ signs[lo : lo + rows].T) ** p, axis=1)
+        total += np.sum(np.abs(C.T @ signs.T) ** p, axis=1)
+        count += len(signs)
     denoms = np.sum(np.abs(C) ** 2, axis=0) ** (p / 2.0)
-    return total / len(signs) / denoms, exact
+    return total / count / denoms, length <= exact_limit
 
 
 def khinchine_ratio(

@@ -9,15 +9,22 @@ grid-doubling refinement estimate, taken by :func:`_refined` from the
 angular grid for integral means and from the radial rule for area
 integrals, so accuracy is observable rather than assumed.
 
-The area integrals need M_p^p(r, f) at every radial node. They are computed
-by :func:`_mp_powers_on_nodes`, which streams the nodes through the angular
-FFT a few rows at a time, so memory stays near a fixed budget however many
-nodes or angles there are. The angular grid of an area integral is the
-smallest 2^a 3^b 5^c length at or above the default grid
-(:func:`_fast_length`). A default grid with a large prime factor, such as
-8(40N + 1) for g_N, would otherwise be transformed by Bluestein's
-algorithm at about three times the cost. Power-of-two grids are kept as
-they are. Integral means on a single circle keep the default grid.
+The area integrals need M_p^p(r, f) at every radial node, and
+:func:`_mp_powers_truncated` computes them. At radius r the terms a_n r^n
+fall below rounding level after about 42 / (1 - r) of them, so each node
+keeps only a_0 .. a_K, with K the smallest degree whose dropped tail
+sum_{n>K} |a_n| r^n is at most u M_2(r, f), u = 2^-53
+(:func:`_effective_degrees`). Every sample then moves by at most
+u M_2(r, f), and M_p(r, f) too. The node samples the kept terms on the
+default grid of degree K, taken at the smallest 2^a 3^b 5^c length at or
+above it (:func:`_fast_length`), never more than the grid of the whole
+series. A default grid with a large prime factor, such as 8(40N + 1) for
+g_N, would otherwise be transformed by Bluestein's algorithm at about
+three times the cost. Nodes that share a grid go through
+:func:`_mp_powers_on_nodes` together, which streams them through the
+angular FFT a few rows at a time, so memory stays near a fixed budget
+however many nodes or angles there are. Integral means on a single circle
+keep the default grid of the whole series.
 
 Dyadic block norms ||Delta_N f||_{H^p} go through one evaluator,
 :class:`_BlockEngine`. On |z| = 1 the block is, up to the unimodular factor
@@ -33,6 +40,7 @@ delta is reported with the values.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -71,11 +79,18 @@ class NormReport:
         )
 
 
+@functools.lru_cache(maxsize=128)
 def _jacobi_rule(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes r and weights w with sum w_i g(r_i) ~ int_0^1 (1-r)^alpha g(r) dr."""
+    """Nodes r and weights w with sum w_i g(r_i) ~ int_0^1 (1-r)^alpha g(r) dr.
+
+    The nodes ascend. Both arrays are cached and read-only.
+    """
     x, w = roots_jacobi(n, alpha, 0.0)
     order = np.argsort(x)
-    return (x[order] + 1.0) / 2.0, w[order] / 2.0 ** (alpha + 1.0)
+    nodes, weights = (x[order] + 1.0) / 2.0, w[order] / 2.0 ** (alpha + 1.0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _refined(value, n: int, grid_points: int, radial_nodes: int) -> NormReport:
@@ -221,21 +236,23 @@ def hp_norm(f: CoeffSeq, p: float, M: int | None = None) -> NormReport:
 _NODE_CHUNK_BYTES = 2 << 20
 
 
+@functools.lru_cache(maxsize=None)
+def _smooth_lengths(bits: int) -> np.ndarray:
+    """Every 2^a 3^b 5^c <= 2^bits, ascending and read-only."""
+    top = 1 << bits
+    lengths = [1]
+    for q in (2, 3, 5):
+        lengths = [m * q**e for m in lengths for e in range(bits + 1) if m * q**e <= top]
+    out = np.array(sorted(lengths))
+    out.flags.writeable = False
+    return out
+
+
 def _fast_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms without
     Bluestein's algorithm."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
+    smooth = _smooth_lengths((n - 1).bit_length())
+    return int(smooth[np.searchsorted(smooth, n)])
 
 
 def _mp_powers_on_nodes(f: CoeffSeq, p: float, nodes: np.ndarray, M: int) -> np.ndarray:
@@ -246,6 +263,8 @@ def _mp_powers_on_nodes(f: CoeffSeq, p: float, nodes: np.ndarray, M: int) -> np.
     preallocated vector. Memory is then about the budget, not nodes x M.
     Each row does the same arithmetic as one batched FFT over all nodes, so
     the values are bit-identical to it and do not depend on the chunk size.
+    The radial norms call it through :func:`_mp_powers_truncated`, once for
+    each group of nodes that share a truncated series and a grid.
     """
     n = np.arange(f.degree + 1)
     rows = max(1, _NODE_CHUNK_BYTES // (16 * M))
@@ -257,13 +276,87 @@ def _mp_powers_on_nodes(f: CoeffSeq, p: float, nodes: np.ndarray, M: int) -> np.
     return out
 
 
+#: unit roundoff of IEEE double precision
+_UNIT_ROUNDOFF = 2.0**-53
+
+#: geometric index blocks over which :func:`_effective_degrees` bounds the
+#: largest term from below
+_TERM_BLOCKS = 512
+
+
+def _effective_degrees(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """For every node r, the smallest K with
+
+        (max_{n>K} |a_n|) r^{K+1} / (1 - r) <= u m(r),
+
+    u the unit roundoff. The left side bounds sum_{n>K} |a_n| r^n, the tail
+    that K drops. m(r) is the largest of (max_{n in I} |a_n|) r^{max I} over
+    about _TERM_BLOCKS index blocks I, geometric in n (single indices at
+    the start), so m(r) <= max_n |a_n| r^n <= M_2(r, f). Dropping the tail
+    therefore moves f(r e^{it}) by at most u M_2(r, f) at every angle. The
+    left side does not grow with K, so one bisection serves all nodes.
+    """
+    D = len(coeffs) - 1
+    absc = np.abs(coeffs)
+    with np.errstate(divide="ignore"):
+        # tail[K] = log max_{n>K} |a_n|, -inf at K = D
+        tail = np.full(D + 1, -np.inf)
+        tail[:-1] = np.log(np.maximum.accumulate(absc[:0:-1])[::-1])
+        starts = np.unique(np.geomspace(1.0, D + 1.0, _TERM_BLOCKS).astype(np.int64)) - 1
+        log_block = np.log(np.maximum.reduceat(absc, starts))
+    ends = np.append(starts[1:] - 1, D)
+    log_r = np.log(nodes)
+    log_m = np.max(log_block + log_r[:, None] * ends, axis=1)
+    bound = np.log(_UNIT_ROUNDOFF) + log_m + np.log1p(-nodes)
+    lo = np.zeros(len(nodes), dtype=np.int64)
+    hi = np.full(len(nodes), D, dtype=np.int64)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        ok = tail[mid] + (mid + 1) * log_r <= bound
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid + 1)
+    return hi
+
+
+def _mp_powers_truncated(f: CoeffSeq, p: float, nodes: np.ndarray) -> np.ndarray:
+    """M_p^p(r, f) for every radius r in nodes, each sampled only to its
+    effective degree.
+
+    Node r keeps a_0 .. a_K, K from :func:`_effective_degrees`, which moves
+    every sample by at most u M_2(r, f) (u the unit roundoff), so M_p(r, f)
+    by at most u M_2(r, f) as well. It samples the kept terms on
+    _fast_length(default_angular_points(K)) angles, which is at most the
+    grid of the whole series since K <= f.degree. Each run of consecutive
+    nodes on one grid (K grows with r, so the runs are few) goes through
+    :func:`_mp_powers_on_nodes` as one polynomial, of the largest K in the
+    run; a run that reaches K = f.degree samples f itself, with the bits of
+    the whole series.
+    """
+    K = _effective_degrees(f.coeffs, nodes)
+    # default_angular_points(K) of every node at once
+    points = np.maximum(default_angular_points(0), 8 * (K + 1))
+    smooth = _smooth_lengths((int(points.max()) - 1).bit_length())
+    grids = smooth[np.searchsorted(smooth, points)]
+    out = np.empty(len(nodes))
+    starts = np.flatnonzero(np.diff(grids, prepend=0))
+    for lo, hi in zip(starts, [*starts[1:], len(nodes)]):
+        top = int(K[lo:hi].max())
+        g = f if top == f.degree else CoeffSeq._owning(f.coeffs[: top + 1])
+        out[lo:hi] = _mp_powers_on_nodes(g, p, nodes[lo:hi], int(grids[lo]))
+    return out
+
+
 def bergman_norm(f: CoeffSeq, p: float, alpha: float) -> NormReport:
     """A^p_alpha norm via ((a+1) int_0^1 2r (1-r^2)^a M_p^p(r,f) dr)^{1/p}.
 
     The radial integral is the Gauss-Jacobi rule on 64 nodes, refined against
-    128. M_p^p is the trapezoid rule on M angles at every node, streamed by
-    :func:`_mp_powers_on_nodes`, with M the smallest 5-smooth length at or
-    above :func:`default_angular_points` of the degree.
+    128. M_p^p at a node r is the trapezoid rule on a_0 .. a_K only, where
+    the dropped tail sum_{n>K} |a_n| r^n is at most u M_2(r, f), u = 2^-53,
+    so it moves every sample, and M_p(r, f), by at most u M_2(r, f). The
+    angles are the smallest 5-smooth length at or above
+    :func:`default_angular_points` of K (:func:`_mp_powers_truncated`).
+    grid_points reports the grid of the whole series, the largest any node
+    uses.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -273,7 +366,7 @@ def bergman_norm(f: CoeffSeq, p: float, alpha: float) -> NormReport:
 
     def value(n: int) -> float:
         r, w = _jacobi_rule(alpha, n)
-        means = _mp_powers_on_nodes(f, p, r, M)
+        means = _mp_powers_truncated(f, p, r)
         integrand = 2.0 * r * (1.0 + r) ** alpha * means
         return float((alpha + 1.0) * np.dot(w, integrand)) ** (1.0 / p)
 
@@ -304,7 +397,7 @@ def xqp_norm(f: CoeffSeq, q: float, p: float) -> NormReport:
 
     def value(n: int) -> float:
         r, w = _jacobi_rule(a, n)
-        means = _mp_powers_on_nodes(fp, q, r, M) ** (p / q)
+        means = _mp_powers_truncated(fp, q, r) ** (p / q)
         return float(abs(f.coeff(0)) ** p + np.dot(w, means)) ** (1.0 / p)
 
     return _refined(value, DEFAULT_RADIAL_NODES, M, DEFAULT_RADIAL_NODES)

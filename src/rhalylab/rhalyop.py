@@ -86,7 +86,8 @@ class SequenceSpec:
     values_list: tuple = field(default=())
     measure: DiscreteMeasure | None = None
     base: "SequenceSpec | None" = None
-    signs: tuple = field(default=())
+    #: the +-1 signs of a "signed" spec, one int8 byte each
+    signs: bytes = b""
 
     def __post_init__(self):
         if self.truncation < 1:
@@ -123,12 +124,18 @@ class SequenceSpec:
 
     @classmethod
     def signed(cls, base: "SequenceSpec", signs) -> "SequenceSpec":
-        signs = tuple(int(s) for s in signs)
-        if len(signs) != base.truncation + 1:
+        signs = np.asarray(signs)
+        if signs.shape != (base.truncation + 1,):
             raise ValueError("need one sign per realized entry")
-        if any(s not in (-1, 1) for s in signs):
+        # the values themselves, not int(s): int(1.5) is 1
+        if signs.dtype.kind not in "iuf" or not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +-1")
-        return cls(kind="signed", truncation=base.truncation, base=base, signs=signs)
+        return cls(
+            kind="signed",
+            truncation=base.truncation,
+            base=base,
+            signs=signs.astype(np.int8).tobytes(),
+        )
 
     # --- realization --------------------------------------------------
 
@@ -161,7 +168,7 @@ class SequenceSpec:
             return _moments(self.measure, self.truncation).astype(complex)
         if self.kind == "signed":
             out = self.base.values()
-            np.multiply(np.array(self.signs, dtype=np.int8), out, out=out)
+            np.multiply(np.frombuffer(self.signs, dtype=np.int8), out, out=out)
             return out
         raise AssertionError("unreachable")
 
@@ -191,7 +198,7 @@ class SequenceSpec:
             data["measure"] = json.loads(self.measure.to_json())
         elif self.kind == "signed":
             data["base"] = json.loads(self.base.to_json())
-            data["signs"] = list(self.signs)
+            data["signs"] = np.frombuffer(self.signs, dtype=np.int8).tolist()
         return json.dumps(data)
 
     @classmethod

@@ -10,6 +10,7 @@ from rhalylab.coeffcore import CoeffSeq, evaluate_on_circle, CircleGrid, hadamar
 from rhalylab.constructions import (
     PolygonalProfile,
     _all_sign_vectors,
+    _sign_chunks,
     alpha_beta_range,
     bergman_gn,
     bergman_psi,
@@ -273,6 +274,29 @@ def test_exact_khinchine_sign_table_memory():
         tracemalloc.stop()
     assert rep.exact
     assert peak < 64e6
+
+
+@pytest.mark.parametrize("length, rows", [(32, 1000), (33, 4097), (256, 4096)])
+def test_monte_carlo_signs_equal_one_draw(length, rows):
+    budget = 9000
+    got = np.concatenate(list(_sign_chunks(length, rows, 20, budget, 5)))
+    want = 2 * np.random.default_rng(5).integers(0, 2, size=(budget, length)) - 1
+    assert got.dtype == np.int8
+    assert np.array_equal(got, want)
+
+
+def test_monte_carlo_khinchine_memory():
+    # the 20000 x 256 signs as one int64 draw would be 41 MB
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    tracemalloc.start()
+    try:
+        rep = khinchine_report(c, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.exact
+    assert peak < 25e6
 
 
 def test_upsilon_small_cases():

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from rhalylab import norms
@@ -228,3 +230,105 @@ def test_bergman_gn_on_fast_length_matches_closed_form(alpha):
     w = np.exp(gammaln(n + 1.0) + gammaln(alpha + 2.0) - gammaln(n + alpha + 2.0))
     exact = np.sqrt(np.sum(np.abs(g.coeffs) ** 2 * w))
     assert abs(rep.value - exact) / exact < 1e-10 + 2.0 * rep.refinement_delta
+
+
+def test_jacobi_rule_is_cached_and_read_only():
+    nodes, weights = norms._jacobi_rule(0.5, 64)
+    assert norms._jacobi_rule(0.5, 64)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    assert np.all(np.diff(nodes) > 0)
+
+
+U = 2.0**-53
+
+
+def _series(shape: str, degree: int, seed: int) -> CoeffSeq:
+    """Random complex coefficients, damped geometrically, grown like a
+    derivative's, or flat."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    n = np.arange(degree + 1)
+    if shape == "geometric":
+        c *= rng.uniform(0.5, 0.999) ** n
+    elif shape == "derivative":
+        c *= n
+    return CoeffSeq(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(("geometric", "derivative", "flat")),
+    st.integers(1, 1500),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+    st.sampled_from((0.0, 0.5, 2.5)),
+)
+def test_truncated_nodes_match_full_series_within_few_u(shape, degree, seed, p, alpha):
+    """Against the whole series on each node's own grid the only difference
+    is the dropped tail, so the gap is rounding. At p = 2 the trapezoid rule
+    is exact on every grid used, so the full-degree grid agrees too."""
+    f = _series(shape, degree, seed)
+    nodes, _ = norms._jacobi_rule(alpha, 64)
+    got = norms._mp_powers_truncated(f, p, nodes)
+    K = norms._effective_degrees(f.coeffs, nodes)
+    grids = [norms._fast_length(norms.default_angular_points(int(k))) for k in K]
+    own = np.array([_one_shot_mp_powers(f, p, nodes[i : i + 1], M)[0] for i, M in enumerate(grids)])
+    assert np.all(np.abs(got - own) <= 8 * U * own)
+    if p == 2.0:
+        M = norms._fast_length(norms.default_angular_points(f.degree))
+        full = _one_shot_mp_powers(f, p, nodes, M)
+        assert np.all(np.abs(got - full) <= 16 * U * full)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        generating_function(SequenceSpec.cesaro(8191)),
+        generating_function(SequenceSpec.power_law(1.3, 0.7, 4095)),
+        bergman_gn(1.5, 0.5, 64),
+        _series("geometric", 3000, 1),
+        _series("derivative", 3000, 2),
+        _series("flat", 3000, 3),
+        CoeffSeq(np.concatenate([np.zeros(700), [1.0], np.zeros(99), [1e-3]])),
+    ],
+)
+def test_dropped_tail_meets_the_stated_bound(f):
+    """sum_{n>K} |a_n| r^n <= u M_2(r, f) at every node, for the nodes of
+    every radial rule the norms use."""
+    a = np.abs(f.coeffs)
+    n = np.arange(f.degree + 1)
+    for alpha in (0.0, 0.5, 2.5):
+        for count in (64, 128):
+            nodes, _ = norms._jacobi_rule(alpha, count)
+            K = norms._effective_degrees(f.coeffs, nodes)
+            assert np.all((0 <= K) & (K <= f.degree))
+            for r, k in zip(nodes, K):
+                terms = a * r**n
+                top = terms.max()
+                if top == 0.0:  # every term underflows, the tail too
+                    continue
+                # scaled, so that squares of tiny terms do not underflow
+                m2 = top * np.sqrt(np.sum((terms / top) ** 2))
+                assert np.sum(terms[k + 1 :]) <= U * m2 * (1 + 1e-12)
+    assert np.any(K < f.degree)
+
+
+def test_bergman_genfn_samples_under_a_fifth_of_the_full_grid(monkeypatch):
+    """The degree-8191 Cesaro generating function: the full-degree grid is
+    65536 angles at each of the 64 + 128 nodes, and a node at radius r
+    needs only about 42 / (1 - r) of the terms."""
+    f = generating_function(SequenceSpec.cesaro(8191))
+    points = []
+    ifft = np.fft.ifft
+
+    def counting_ifft(a, n=None, axis=-1, **kwargs):
+        out = ifft(a, n=n, axis=axis, **kwargs)
+        points.append(out.size)
+        return out
+
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+    rep = bergman_norm(f, 1.5, 0.5)
+    assert rep.grid_points == 65536
+    assert 0 < sum(points) < 0.2 * 192 * 65536

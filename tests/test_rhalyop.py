@@ -206,6 +206,28 @@ def test_application_holds_no_extra_full_length_array():
         assert np.allclose(out.coeffs[head + 1 :], expected[head + 1 :], rtol=1e-9, atol=1e-12)
 
 
+def test_signed_spec_keeps_int8_bytes():
+    T = 1 << 12
+    rng = np.random.default_rng(7)
+    signs = 2 * rng.integers(0, 2, T + 1, dtype=np.int8) - 1
+    base = SequenceSpec.cesaro(T)
+    spec = SequenceSpec.signed(base, signs)
+    assert spec.signs == signs.tobytes()
+    # a list of ints, as JSON gives, makes an equal spec with the same hash
+    same = SequenceSpec.signed(base, signs.tolist())
+    assert same == spec and hash(same) == hash(spec)
+    assert SequenceSpec.signed(base, -signs) != spec
+    assert json.loads(spec.to_json())["signs"] == signs.tolist()
+    assert SequenceSpec.from_json(spec.to_json()) == spec
+    assert spec.values().tobytes() == (signs * base.values()).tobytes()
+
+
+@pytest.mark.parametrize("bad", [[1, 0, -1], [1, 2, -1], [1.5, 1, -1], [1, -1.5, 1], [1, 1]])
+def test_signed_spec_rejects_non_signs(bad):
+    with pytest.raises(ValueError):
+        SequenceSpec.signed(SequenceSpec.cesaro(2), bad)
+
+
 def test_opnorm_h2_trivial_cases():
     e0 = SequenceSpec.literal([1.0] + [0.0] * 7)
     est = opnorm_h2(e0, 8)
