@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffcore import CoeffSeq, derivative, partial_sum
+from .coeffcore import CoeffSeq, derivative, partial_sum, zero_head
 from .errors import AlphaRange, PRange, TruncationMismatch
 from .lipschitz import (
     BIG_LAMBDA,
@@ -28,13 +28,13 @@ from .lipschitz import (
     NEITHER,
     block_profile,
     classify_membership,
+    fit_K,
     fit_tail_slope,
 )
 from .norms import REFINEMENT_FLAG, _BlockEngine, dirichlet_norm, hp_norm, xqp_norm
 from .rhalyop import (
     SequenceSpec,
     _apply_realized,
-    _zero_head,
     generating_function,
     require_decreasing,
 )
@@ -103,17 +103,11 @@ def _profile_evidence(name: str, profile) -> tuple:
     )
 
 
-def _fit_K(eta: SequenceSpec, K: int) -> int:
-    """Largest block count whose top block fits inside the truncation."""
-    K_max = int(np.floor(np.log2(eta.truncation + 2))) - 1
-    return min(K, K_max)
-
-
 def _memberships(eta: SequenceSpec, K: int, eps_slope, eps_tail):
     """Membership of F at (p, 1/p) as a function of p. F is realized and its
     blocks sampled once, and every exponent asked for reads those samples."""
     F = generating_function(eta)
-    K = _fit_K(eta, K)
+    K = fit_K(eta.truncation, K)
     engine = _BlockEngine(F.coeffs, 2 ** np.arange(1, K + 1))
 
     def at(p: float):
@@ -327,7 +321,7 @@ def dpp_embedding_check(
     # each tail (R - R_N) f is the image with coefficients 0..N zeroed
     tail_ratios = [
         max(
-            (dirichlet_norm(_zero_head(Rf, int(N)), p, p - 1.0).value / denom
+            (dirichlet_norm(zero_head(Rf, int(N)), p, p - 1.0).value / denom
              for Rf, denom in images),
             default=0.0,
         )

@@ -30,6 +30,7 @@ from .lipschitz import (
     DEFAULT_EPS_TAIL,
     block_profile,
     classify_membership,
+    fit_K,
 )
 from .norms import bergman_norm, dirichlet_norm, hp_norm, xqp_norm
 from .rhalyop import SequenceSpec, generating_function, opnorm_h2, opnorm_lower_hp
@@ -67,7 +68,7 @@ def _load_series(text: str, trunc: int | None) -> tuple[CoeffSeq, dict]:
     if isinstance(data, list):
         return CoeffSeq(np.array(data, dtype=complex)), {"input": "coeff_list"}
     if "coeffs" in data:
-        return CoeffSeq.from_json(json.dumps(data)), {"input": "coeffs"}
+        return CoeffSeq.from_json(data), {"input": "coeffs"}
     spec = _load_spec_dict(data, trunc)
     return generating_function(spec), {"input": "sequence_spec", "spec": data}
 
@@ -75,7 +76,7 @@ def _load_series(text: str, trunc: int | None) -> tuple[CoeffSeq, dict]:
 def _load_spec_dict(data: dict, trunc: int | None) -> SequenceSpec:
     if trunc is not None and "truncation" not in data:
         data = dict(data, truncation=trunc)
-    return SequenceSpec.from_json(json.dumps(data))
+    return SequenceSpec.from_json(data)
 
 
 def _load_spec(text: str, trunc: int | None) -> SequenceSpec:
@@ -135,8 +136,7 @@ def cmd_norm(args) -> int:
 
 def cmd_profile(args) -> int:
     f, meta = _load_series(args.spec, args.trunc)
-    K = args.grid_J if args.grid_J is not None else 12
-    K = min(K, int(np.floor(np.log2(f.degree + 2))) - 1)
+    K = fit_K(f.degree, args.grid_J if args.grid_J is not None else 12)
     alpha = args.alpha if args.alpha is not None else 1.0 / args.p
     prof = block_profile(f, args.p, alpha, K)
     verdict = classify_membership(

@@ -4,7 +4,9 @@ A :class:`CoeffSeq` holds the Taylor coefficients a_0 .. a_d of an analytic
 function truncated at degree d. All operations are pure; coefficient arrays
 are frozen after construction. Coefficient reads beyond the stored degree
 are treated as 0, matching the truncated-series semantics used everywhere
-else in the package.
+else in the package. The algebra is what the package uses: the derivative,
+the coefficientwise product, blocks and partial sums S_N f, and the
+remainder f - S_N f (:func:`zero_head`).
 
 :func:`prefix_sums` is the kernel behind every application of a Rhaly
 operator, f -> (eta_n sum_{k<=n} a_k)_n. It is vectorized and compensated:
@@ -66,8 +68,9 @@ class CoeffSeq:
         return json.dumps({"coeffs": pairs})
 
     @classmethod
-    def from_json(cls, text: str) -> "CoeffSeq":
-        data = json.loads(text)
+    def from_json(cls, text: str | dict) -> "CoeffSeq":
+        """From JSON text or the object it parses to."""
+        data = json.loads(text) if isinstance(text, str) else text
         pairs = data["coeffs"]
         return cls(np.array([complex(re, im) for re, im in pairs]))
 
@@ -122,11 +125,6 @@ def derivative(f: CoeffSeq) -> CoeffSeq:
         return CoeffSeq(np.zeros(1, dtype=complex))
     n = np.arange(1, f.degree + 1)
     return CoeffSeq._owning(n * f.coeffs[1:])
-
-
-def shift(f: CoeffSeq) -> CoeffSeq:
-    """Multiplication by z: coefficients move up one slot."""
-    return CoeffSeq(np.concatenate([[0j], f.coeffs]))
 
 
 def prefix_sums(f: CoeffSeq) -> CoeffSeq:
@@ -194,17 +192,9 @@ def partial_sum(f: CoeffSeq, N: int) -> CoeffSeq:
     return slice_coeffs(f, 0, N)
 
 
-def add(f: CoeffSeq, g: CoeffSeq) -> CoeffSeq:
-    d = max(f.degree, g.degree)
-    out = np.zeros(d + 1, dtype=complex)
-    out[: f.degree + 1] += f.coeffs
-    out[: g.degree + 1] += g.coeffs
-    return CoeffSeq(out)
-
-
-def subtract(f: CoeffSeq, g: CoeffSeq) -> CoeffSeq:
-    return add(f, scale(g, -1.0))
-
-
-def scale(f: CoeffSeq, c: complex) -> CoeffSeq:
-    return CoeffSeq(c * f.coeffs)
+def zero_head(f: CoeffSeq, N: int) -> CoeffSeq:
+    """f - S_N f: coefficients 0..N zeroed, the degree kept. N at or past
+    the degree gives the zero series."""
+    out = f.coeffs.copy()
+    out[: N + 1] = 0
+    return CoeffSeq._owning(out)

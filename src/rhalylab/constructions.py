@@ -146,14 +146,6 @@ def w_kernel(psi: PolygonalProfile, n: int, theta_grid: int) -> float:
     return float(np.max(vals[1:]) / L)
 
 
-def h_poly(psi: PolygonalProfile, N: int) -> CoeffSeq:
-    """H_N(z) = sum_{k=0}^{4N} Psi(k/N) z^k."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    k = np.arange(4 * N + 1)
-    return CoeffSeq(psi(k / N).astype(complex))
-
-
 # --- Bergman rescaling -----------------------------------------------------
 
 

@@ -10,7 +10,9 @@ configuration and "Inconclusive" is a first-class outcome.
 The block norms come from :class:`norms._BlockEngine`, each block on its own
 support. A profile carries the worst refinement delta of its blocks, and a
 profile above :data:`norms.REFINEMENT_FLAG` is Inconclusive whatever its
-shape.
+shape. The little-oh class is also read off the growth seminorm: the
+remainders f - S_N f of a member have :func:`norms.beta_sup` tending to 0
+(:func:`partial_sum_convergence`).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffcore import CoeffSeq, derivative, partial_sum, subtract
-from .errors import DegreeTooSmall, RadiusRange
+from .coeffcore import CoeffSeq, zero_head
+from .errors import DegreeTooSmall
 from .norms import REFINEMENT_FLAG, _BlockEngine, beta_sup
 
 DEFAULT_EPS_SLOPE = 0.1
@@ -88,26 +90,30 @@ def fit_tail_slope(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
+def fit_K(degree: int, K: int) -> int:
+    """K, capped at the largest block count whose top block N = 2^K ends
+    at 2^(K+1) - 1 <= degree."""
+    return min(K, (degree + 1).bit_length() - 2)
+
+
 def block_profile(
     f: CoeffSeq,
     p: float,
     alpha: float,
     K: int,
-    strict: bool = True,
     *,
     engine: _BlockEngine | None = None,
 ) -> BlockProfile:
     """Scaled dyadic block norms N^alpha ||Delta_N f||_{H^p} for N = 2..2^K.
 
-    strict=True refuses block ranges past the stored degree, where truncation
-    zeros would masquerade as decay. Pass strict=False only for inputs that
-    genuinely have no tail (e.g. constants). A caller profiling one f at
-    several exponents passes the engine built on f's blocks N = 2..2^K, so
-    every profile reads the same samples.
+    Block ranges past the stored degree are refused, since truncation zeros
+    would masquerade as decay. A caller profiling one f at several exponents
+    passes the engine built on f's blocks N = 2..2^K, so every profile reads
+    the same samples.
     """
     if K < 6:
         raise ValueError("need K >= 6 dyadic blocks")
-    if strict and 2 ** (K + 1) - 1 > f.degree:
+    if 2 ** (K + 1) - 1 > f.degree:
         raise DegreeTooSmall(
             f"top block ends at {2 ** (K + 1) - 1}, past degree {f.degree}; "
             "the profile would read truncation zeros"
@@ -130,11 +136,6 @@ def block_profile(
         tail_ratio=tail_ratio,
         refinement_delta=delta,
     )
-
-
-def derivative_profile(f: CoeffSeq, p: float, alpha: float, K: int) -> BlockProfile:
-    """Equivalent derivative form: N^{alpha-1} ||Delta_N f'||_{H^p}."""
-    return block_profile(derivative(f), p, alpha - 1.0, K, strict=False)
 
 
 def classify_membership(
@@ -182,13 +183,4 @@ def partial_sum_convergence(
     radii: np.ndarray | None = None,
 ) -> np.ndarray:
     """beta_sup of the partial-sum remainders f - S_N f over the given Ns."""
-    return np.array(
-        [beta_sup(subtract(f, partial_sum(f, int(N))), p, alpha, radii) for N in Ns]
-    )
-
-
-def dilate(f: CoeffSeq, r: float) -> CoeffSeq:
-    """f_r(z) = f(rz): coefficient n picks up a factor r^n."""
-    if not 0.0 < r < 1.0:
-        raise RadiusRange(f"dilation radius {r} must lie in (0, 1)")
-    return CoeffSeq(f.coeffs * r ** np.arange(f.degree + 1))
+    return np.array([beta_sup(zero_head(f, int(N)), p, alpha, radii) for N in Ns])

@@ -24,7 +24,9 @@ three times the cost. Nodes that share a grid go through
 :func:`_mp_powers_on_nodes` together, which streams them through the
 angular FFT a few rows at a time, so memory stays near a fixed budget
 however many nodes or angles there are. Integral means on a single circle
-keep the default grid of the whole series.
+keep the default grid of the whole series, and so does the growth seminorm
+(1 - r)^{1 - alpha} M_p(r, f') of :func:`beta_sup`, which samples f' at
+every radius of its ladder in one :func:`_mp_powers_on_nodes` call.
 
 Dyadic block norms ||Delta_N f||_{H^p} go through one evaluator,
 :class:`_BlockEngine`. On |z| = 1 the block is, up to the unimodular factor
@@ -404,18 +406,37 @@ def xqp_norm(f: CoeffSeq, q: float, p: float) -> NormReport:
 
 
 def beta(f: CoeffSeq, p: float, alpha: float, r: float) -> float:
-    """Growth seminorm (1-r)^{1-alpha} M_p(r, f')."""
-    if not 0.0 < r < 1.0:
-        raise RadiusRange(f"r={r} must lie in (0, 1)")
-    if not 0.0 < alpha <= 1.0:
-        raise AlphaRange(f"alpha={alpha} must lie in (0, 1]")
-    return (1.0 - r) ** (1.0 - alpha) * mean_mp(derivative(f), r, p).value
+    """Growth seminorm (1-r)^{1-alpha} M_p(r, f'): :func:`beta_sup` at the
+    single radius r."""
+    return beta_sup(f, p, alpha, np.array([r]))
 
 
 def beta_sup(
     f: CoeffSeq, p: float, alpha: float, radii: np.ndarray | None = None
 ) -> float:
-    """Max of the growth seminorm over a radius ladder (dyadic by default)."""
+    """Max of the growth seminorm (1-r)^{1-alpha} M_p(r, f') over a radius
+    ladder (dyadic by default).
+
+    M_p^p(r, f') comes for every radius from one :func:`_mp_powers_on_nodes`
+    call on the default grid of f', which does the arithmetic of
+    :func:`mean_mp` row by row, so each M_p(r, f') equals
+    mean_mp(derivative(f), r, p).value bit for bit, without the doubled grid
+    of its refinement estimate.
+    """
     if radii is None:
         radii = dyadic_radii()
-    return max(beta(f, p, alpha, r) for r in radii)
+    radii = np.asarray(radii, dtype=float)
+    bad = radii[~((radii > 0.0) & (radii < 1.0))]
+    if bad.size:
+        raise RadiusRange(f"r={bad[0]} must lie in (0, 1)")
+    if not 0.0 < alpha <= 1.0:
+        raise AlphaRange(f"alpha={alpha} must lie in (0, 1]")
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    fp = derivative(f)
+    powers = _mp_powers_on_nodes(fp, p, radii, default_angular_points(fp.degree))
+    # Python floats, so each value rounds as mean_mp's scalar arithmetic does
+    return max(
+        (1.0 - r) ** (1.0 - alpha) * m ** (1.0 / p)
+        for r, m in zip(radii.tolist(), powers.tolist())
+    )

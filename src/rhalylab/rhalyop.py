@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffcore import CoeffSeq, derivative, partial_sum, prefix_sums, shift
+from .coeffcore import CoeffSeq, partial_sum, prefix_sums
 from .errors import NotMonotone, TruncationMismatch
 from .lipschitz import fit_tail_slope
 from .norms import hp_norm
@@ -53,8 +53,9 @@ class DiscreteMeasure:
         return cls(t, np.full(n_atoms, 1.0 / n_atoms))
 
     @classmethod
-    def from_json(cls, text: str) -> "DiscreteMeasure":
-        data = json.loads(text)
+    def from_json(cls, text: str | dict) -> "DiscreteMeasure":
+        """From JSON text or the object it parses to."""
+        data = json.loads(text) if isinstance(text, str) else text
         atoms = data["atoms"]
         return cls(
             np.array([a["t"] for a in atoms]), np.array([a["mass"] for a in atoms])
@@ -202,7 +203,8 @@ class SequenceSpec:
         return json.dumps(data)
 
     @classmethod
-    def from_json(cls, text: str) -> "SequenceSpec":
+    def from_json(cls, text: str | dict) -> "SequenceSpec":
+        """From JSON text or the object it parses to."""
         data = json.loads(text) if isinstance(text, str) else text
         kind = data["kind"]
         trunc = int(data["truncation"])
@@ -217,10 +219,10 @@ class SequenceSpec:
             ]
             return cls.literal(vals, trunc)
         if kind == "measure_moments":
-            mu = DiscreteMeasure.from_json(json.dumps(data["measure"]))
+            mu = DiscreteMeasure.from_json(data["measure"])
             return cls.measure_moments(mu, trunc)
         if kind == "signed":
-            base = cls.from_json(json.dumps(data["base"]))
+            base = cls.from_json(data["base"])
             return cls.signed(base, data["signs"])
         raise ValueError(f"unknown sequence kind {kind!r}")
 
@@ -321,11 +323,6 @@ def generating_function(eta: SequenceSpec) -> CoeffSeq:
     return CoeffSeq._owning(eta.values())
 
 
-def radial_derivative_series(eta: SequenceSpec) -> CoeffSeq:
-    """G(z) = z F'(z) = sum n eta_n z^n."""
-    return shift(derivative(generating_function(eta)))
-
-
 def carleson_check(mu: DiscreteMeasure, radii) -> tuple[float, bool]:
     """Max of mu([r,1))/(1-r) over the radii plus a boundedness flag.
 
@@ -364,13 +361,6 @@ class TruncatedRhaly:
         return CoeffSeq._owning(out)
 
 
-def _zero_head(g: CoeffSeq, N: int) -> CoeffSeq:
-    """g with coefficients 0..N zeroed; (R - R_N) f when g = R f."""
-    out = g.coeffs.copy()
-    out[: min(N + 1, len(out))] = 0
-    return CoeffSeq._owning(out)
-
-
 # --- l2 operator norm via matrix-free power iteration -------------------
 
 
@@ -388,13 +378,13 @@ def _section_rmatvec(eta_vals: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.cumsum((np.conj(eta_vals) * v)[::-1])[::-1]
 
 
-def opnorm_h2(
-    eta: SequenceSpec,
-    N: int,
-    max_iter: int = 10000,
-    tol: float = 1e-13,
-    seed: int = 0,
-) -> OpNormEstimate:
+#: power-iteration budget, and the relative Rayleigh-quotient change at which
+#: :func:`opnorm_h2` stops
+_POWER_MAX_ITER = 10000
+_POWER_TOL = 1e-13
+
+
+def opnorm_h2(eta: SequenceSpec, N: int, seed: int = 0) -> OpNormEstimate:
     """Largest singular value of the N x N lower-triangular section.
 
     Power iteration on (adjoint o operator); both passes are O(N). Starts
@@ -417,18 +407,18 @@ def opnorm_h2(
         v = v0 / np.linalg.norm(v0)
         rho_prev = -1.0
         iters = 0
-        for iters in range(1, max_iter + 1):
+        for iters in range(1, _POWER_MAX_ITER + 1):
             u = _section_rmatvec(ev, _section_matvec(ev, v))
             rho = float(np.real(np.vdot(v, u)))
             nrm = np.linalg.norm(u)
             if nrm == 0.0:
                 return v, 0.0, iters, True
             v_next = u / nrm
-            if abs(rho - rho_prev) < tol * max(rho, 1e-300):
+            if abs(rho - rho_prev) < _POWER_TOL * max(rho, 1e-300):
                 return v_next, rho, iters, True
             rho_prev = rho
             v = v_next
-        return v, rho_prev, max_iter, False
+        return v, rho_prev, _POWER_MAX_ITER, False
 
     rng = np.random.default_rng(seed)
     starts = [np.ones(N, dtype=complex), rng.standard_normal(N).astype(complex)]

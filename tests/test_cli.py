@@ -173,6 +173,17 @@ def test_profile_outputs(tmp_path, capsys):
     assert (tmp_path / "profile.csv").read_text().startswith("N,scaled_norm")
 
 
+def test_truncation_two_below_a_power_of_two_fits_its_blocks(capsys):
+    # degree 2^9 - 2 holds the blocks N = 2..64 but not N = 128
+    spec = '{"kind":"cesaro","truncation":510}'
+    code, out, _ = run_cli(capsys, "profile", "--spec", spec)
+    assert code == 0
+    assert json.loads(out)["run_config"]["K"] == 7
+    code, out, _ = run_cli(capsys, "classify", "--spec", spec, "--p", "1.5")
+    assert code == 0
+    assert json.loads(out)["verdict"]["conclusion"] == "Bounded"
+
+
 def test_basis_check(capsys):
     code, out, _ = run_cli(
         capsys, "basis-check",

@@ -8,16 +8,13 @@ import pytest
 from rhalylab.coeffcore import (
     CircleGrid,
     CoeffSeq,
-    add,
     derivative,
     evaluate_on_circle,
     hadamard,
     partial_sum,
     prefix_sums,
-    scale,
-    shift,
     slice_coeffs,
-    subtract,
+    zero_head,
 )
 from rhalylab.errors import IndexOrder, OversamplingViolation
 
@@ -102,7 +99,7 @@ def test_shift_then_derivative_identity():
     # coefficient n of (z f)' is (n+1) a_n
     rng = np.random.default_rng(3)
     f = CoeffSeq(rng.standard_normal(9))
-    g = derivative(shift(f))
+    g = derivative(CoeffSeq(np.concatenate([[0.0], f.coeffs])))
     n = np.arange(9)
     assert np.allclose(g.coeffs, (n + 1) * f.coeffs)
 
@@ -174,9 +171,13 @@ def test_block_and_partial_sum():
     assert np.allclose(s.coeffs, [1, 2, 3, 4, 0, 0, 0, 0])
 
 
-def test_linear_ops():
-    f = CoeffSeq(np.array([1.0, 2.0]))
-    g = CoeffSeq(np.array([1.0, 1.0, 1.0]))
-    assert np.allclose(add(f, g).coeffs, [2, 3, 1])
-    assert np.allclose(subtract(f, g).coeffs, [0, 1, -1])
-    assert np.allclose(scale(f, 2j).coeffs, [2j, 4j])
+def test_zero_head():
+    f = CoeffSeq(np.arange(1.0, 6.0) - 1j)
+    g = zero_head(f, 2)
+    assert np.array_equal(g.coeffs, [0, 0, 0, 4 - 1j, 5 - 1j])
+    # f - S_N f, with the degree kept
+    assert np.array_equal(g.coeffs, f.coeffs - partial_sum(f, 2).coeffs)
+    for N in (4, 9):
+        assert zero_head(f, N) == CoeffSeq(np.zeros(5))
+    assert not g.coeffs.flags.writeable
+    assert np.array_equal(f.coeffs, np.arange(1.0, 6.0) - 1j)

@@ -16,7 +16,6 @@ from rhalylab.constructions import (
     bergman_psi,
     construct_upsilon,
     extremal_fn,
-    h_poly,
     hardy_psi,
     khinchine_ratio,
     khinchine_report,
@@ -26,7 +25,7 @@ from rhalylab.constructions import (
 )
 from rhalylab.errors import AlphaRange, ShapeMismatch, TruncationTooSmall
 from rhalylab.norms import bergman_norm, hp_norm
-from rhalylab.rhalyop import SequenceSpec, apply_rhaly, radial_derivative_series
+from rhalylab.rhalyop import SequenceSpec, apply_rhaly
 
 
 def test_extremal_fn_coefficients():
@@ -135,18 +134,6 @@ def test_w_kernel_scale_invariance():
     assert abs(r1 - r2) < 1e-12 * max(r1, 1.0)
 
 
-def test_h_poly():
-    zero = polygonal_psi(np.zeros(9), 8)
-    assert np.all(h_poly(zero, 8).coeffs == 0.0)
-    tent = PolygonalProfile.tent()
-    # growth exponent of ||H_N||_{H^p} approximately 1 - 1/p
-    for p in (1.5, 2.0):
-        Ns = np.array([16.0, 64.0, 256.0])
-        norms = [hp_norm(h_poly(tent, int(N)), p).value for N in Ns]
-        slope = np.polyfit(np.log(Ns), np.log(norms), 1)[0]
-        assert abs(slope - (1 - 1 / p)) < 0.2
-
-
 def test_pipeline_identity():
     # on the middle block, the polygonal kernel times the operator image of
     # f_N reconstructs the radial derivative series of the weights exactly
@@ -154,11 +141,13 @@ def test_pipeline_identity():
     eta = SequenceSpec.cesaro(40 * N)
     f = extremal_fn(2.0, N)
     Rf = apply_rhaly(eta, f)
-    H = h_poly(hardy_psi(2.0, N), N)
+    # H_N(z) = sum_{k<=4N} Psi(k/N) z^k and z F'(z) = sum n eta_n z^n
+    k = np.arange(4 * N + 1)
+    H = CoeffSeq(hardy_psi(2.0, N)(k / N).astype(complex))
     combined = hadamard(H, Rf)
-    G = radial_derivative_series(eta)
     lhs = combined.coeffs[N : 2 * N]
-    rhs = G.coeffs[N : 2 * N]
+    ev = eta.values()
+    rhs = (np.arange(len(ev)) * ev)[N : 2 * N]
     assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) < 1e-8
 
 

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from rhalylab.coeffcore import CoeffSeq, derivative
-from rhalylab.errors import DegreeTooSmall, RadiusRange
+from rhalylab.errors import DegreeTooSmall
 from rhalylab.lipschitz import (
     BIG_LAMBDA,
     LITTLE_LAMBDA,
     NEITHER,
     block_profile,
     classify_membership,
-    derivative_profile,
-    dilate,
+    fit_K,
     partial_sum_convergence,
 )
 from rhalylab.norms import beta_sup, hp_norm
@@ -27,7 +26,7 @@ def power_series(s: float, degree: int) -> CoeffSeq:
 
 def test_constant_has_empty_blocks():
     f = CoeffSeq(np.array([1.0] + [0.0] * 200, dtype=complex))
-    prof = block_profile(f, 2.0, 0.5, 6, strict=False)
+    prof = block_profile(f, 2.0, 0.5, 6)
     assert np.all(prof.scaled_norms == 0.0)
     assert classify_membership(prof).space == LITTLE_LAMBDA
 
@@ -69,13 +68,13 @@ def test_strict_degree_guard():
         block_profile(f, 2.0, 0.5, 6)
 
 
-def test_derivative_profile_agrees_on_verdicts():
-    for s, expected in ((1.5, LITTLE_LAMBDA), (0.5, NEITHER)):
-        f = power_series(s, 8191)
-        direct = classify_membership(block_profile(f, 2.0, 0.5, 11))
-        deriv = classify_membership(derivative_profile(f, 2.0, 0.5, 11))
-        assert direct.space == expected
-        assert deriv.space == expected
+def test_fit_K_takes_the_largest_block_count_that_fits():
+    for degree in range(127, 20000):
+        K = fit_K(degree, 99)
+        assert 2 ** (K + 1) - 1 <= degree < 2 ** (K + 2) - 1
+        assert fit_K(degree, 6) == 6
+    # degree 2^13 - 2 fits K = 11, not 12
+    block_profile(CoeffSeq.log_one_over_one_minus_z(8190), 2.0, 0.5, fit_K(8190, 12))
 
 
 def test_theorem_forms_agree_within_factor():
@@ -83,7 +82,7 @@ def test_theorem_forms_agree_within_factor():
     # must land within a modest common factor for a flat example
     f = CoeffSeq.log_one_over_one_minus_z(8191)
     a = block_profile(f, 2.0, 0.5, 11).scaled_norms.max()
-    b = derivative_profile(f, 2.0, 0.5, 11).scaled_norms.max()
+    b = block_profile(derivative(f), 2.0, -0.5, 11).scaled_norms.max()
     c = beta_sup(f, 2.0, 0.5)
     vals = np.array([a, b, c])
     assert vals.max() / vals.min() < 5.0
@@ -121,20 +120,13 @@ def test_partial_sum_convergence_constant():
     assert np.all(vals == 0.0)
 
 
-def test_dilate():
-    f = CoeffSeq(np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(dilate(f, 0.5).coeffs, [0, 0, 0.25])
-    c = CoeffSeq(np.array([2.0]))
-    assert np.allclose(dilate(c, 0.9).coeffs, [2.0])
-    with pytest.raises(RadiusRange):
-        dilate(f, 1.0)
-
-
 def test_dilation_approximation_improves():
+    # f - f_r, with f_r(z) = f(rz)
     f = power_series(1.5, 2048)
-    from rhalylab.coeffcore import subtract
-
-    vals = [beta_sup(subtract(f, dilate(f, r)), 2.0, 0.5) for r in (0.9, 0.99, 0.999)]
+    n = np.arange(f.degree + 1)
+    vals = [
+        beta_sup(CoeffSeq(f.coeffs - f.coeffs * r**n), 2.0, 0.5) for r in (0.9, 0.99, 0.999)
+    ]
     assert vals[2] < vals[1] < vals[0]
 
 

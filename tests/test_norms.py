@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from rhalylab import norms
-from rhalylab.coeffcore import CoeffSeq
+from rhalylab.coeffcore import CoeffSeq, derivative
 from rhalylab.constructions import bergman_gn
 from rhalylab.errors import AlphaRange, ParamOrder, RadiusRange
 from rhalylab.norms import (
@@ -151,6 +151,22 @@ def test_beta_sup_log_series_band():
     radii = dyadic_radii(9)
     vals = np.array([beta(f, 2.0, 0.5, r) for r in radii])
     assert vals.max() / vals.min() < 1.6
+
+
+def test_beta_sup_is_the_max_of_mean_mp_bit_for_bit():
+    # one batched sampling of f' over the ladder gives mean_mp's value at
+    # every radius exactly, both when the radii share one chunk of rows
+    # (low degrees) and when they span several (high degrees)
+    rng = np.random.default_rng(12)
+    radii = dyadic_radii()
+    for degree, alpha in zip(rng.integers(4, 5000, size=8), (0.25, 0.5, 1.0) * 3):
+        f = CoeffSeq(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+        fp = derivative(f)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            means = [mean_mp(fp, r, p).value for r in radii]
+            expected = max((1.0 - r) ** (1.0 - alpha) * m for r, m in zip(radii, means))
+            assert beta_sup(f, p, alpha, radii) == expected
+            assert beta(f, p, alpha, radii[3]) == (1.0 - radii[3]) ** (1.0 - alpha) * means[3]
 
 
 def test_refinement_delta_clean_at_default_grids():
