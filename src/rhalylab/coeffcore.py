@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOrder, OversamplingViolation
+from .errors import IndexOrder, MalformedSpec, OversamplingViolation
 
 #: coefficients per chunk of the compensated prefix-sum kernel
 _PREFIX_CHUNK = 1 << 13
@@ -71,7 +71,11 @@ class CoeffSeq:
     def from_json(cls, text: str | dict) -> "CoeffSeq":
         """From JSON text or the object it parses to."""
         data = json.loads(text) if isinstance(text, str) else text
-        pairs = data["coeffs"]
+        pairs = data.get("coeffs") if isinstance(data, dict) else None
+        if not isinstance(pairs, list) or not all(
+            isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_number, v)) for v in pairs
+        ):
+            raise MalformedSpec('a series is {"coeffs": [[re, im], ...]}')
         return cls(np.array([complex(re, im) for re, im in pairs]))
 
     @classmethod
@@ -81,6 +85,11 @@ class CoeffSeq:
         if degree >= 1:
             c[1:] = 1.0 / np.arange(1, degree + 1)
         return cls(c)
+
+
+def is_number(x) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

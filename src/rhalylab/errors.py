@@ -47,3 +47,7 @@ class NotMonotone(RhalyError):
 
 class ShapeMismatch(RhalyError):
     """Array argument has the wrong length for the requested construction."""
+
+
+class MalformedSpec(RhalyError):
+    """JSON input that does not have the documented shape."""

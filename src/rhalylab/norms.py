@@ -7,7 +7,11 @@ radius (:func:`_jacobi_rule`, 64 nodes) for the weighted area integrals.
 Every norm is returned as a :class:`NormReport` carrying its own
 grid-doubling refinement estimate, taken by :func:`_refined` from the
 angular grid for integral means and from the radial rule for area
-integrals, so accuracy is observable rather than assumed.
+integrals, so accuracy is observable rather than assumed. The one
+exception is the A^2_alpha norm, and with it the D^2_alpha norm: there the
+area integral is sum |a_n|^2 n! Gamma(alpha+2) / Gamma(n+alpha+2) exactly
+(:func:`_bergman_closed_form`), and the report states an a-priori rounding
+bound and no angles or nodes.
 
 The area integrals need M_p^p(r, f) at every radial node, and
 :func:`_mp_powers_truncated` computes them. At radius r the terms a_n r^n
@@ -23,7 +27,11 @@ g_N, would otherwise be transformed by Bluestein's algorithm at about
 three times the cost. Nodes that share a grid go through
 :func:`_mp_powers_on_nodes` together, which streams them through the
 angular FFT a few rows at a time, so memory stays near a fixed budget
-however many nodes or angles there are. Integral means on a single circle
+however many nodes or angles there are. A series with real coefficients
+goes through :func:`_mp_powers_on_node_pairs` instead, which packs two
+nodes into one complex row and separates their spectra by conjugate
+symmetry, so it runs half the transforms and takes |.|^p on half the
+samples. Integral means on a single circle
 keep the default grid of the whole series, and so does the growth seminorm
 (1 - r)^{1 - alpha} M_p(r, f') of :func:`beta_sup`, which samples f' at
 every radius of its ladder in one :func:`_mp_powers_on_nodes` call.
@@ -47,7 +55,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .coeffcore import CircleGrid, CoeffSeq, derivative, evaluate_on_circle
 from .errors import AlphaRange, ParamOrder, RadiusRange
@@ -85,8 +92,12 @@ class NormReport:
 def _jacobi_rule(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes r and weights w with sum w_i g(r_i) ~ int_0^1 (1-r)^alpha g(r) dr.
 
-    The nodes ascend. Both arrays are cached and read-only.
+    The nodes ascend. Both arrays are cached and read-only. scipy.special
+    is imported here, not with the module, since it is most of the cost of
+    ``import rhalylab`` and only the radial norms need it.
     """
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n, alpha, 0.0)
     order = np.argsort(x)
     nodes, weights = (x[order] + 1.0) / 2.0, w[order] / 2.0 ** (alpha + 1.0)
@@ -278,6 +289,53 @@ def _mp_powers_on_nodes(f: CoeffSeq, p: float, nodes: np.ndarray, M: int) -> np.
     return out
 
 
+def _mp_powers_on_node_pairs(f: CoeffSeq, p: float, nodes: np.ndarray, M: int) -> np.ndarray:
+    """:func:`_mp_powers_on_nodes` for a series with real coefficients, two
+    nodes per inverse FFT.
+
+    Nodes 2j and 2j + 1 damp the real coefficients into real rows x_a and
+    x_b, and z = x_a + i x_b goes through one transform Z. The samples X of
+    a real row satisfy X[-k] = conj X[k], so X_a[k] = (Z[k] + conj Z[-k]) / 2
+    and X_b[k] = (Z[k] - conj Z[-k]) / (2i), and only k = 0 .. floor(M/2)
+    are needed (:func:`_folded_mean`). An odd last node pairs with a zero
+    row. The transform is unnormalized (norm="forward" leaves the inverse
+    unscaled), so no x M pass is needed. The split rounds relative to
+    |Z| <= |X_a| + |X_b|, so by Minkowski's inequality M_p(r_a) moves by a few
+    u times M_p(r_a) + M_p(r_b), and likewise for r_b.
+    """
+    a = f.coeffs.real
+    n = np.arange(f.degree + 1)
+    mirror = -np.arange(M // 2 + 1) % M
+    pairs = max(1, _NODE_CHUNK_BYTES // (16 * M))
+    out = np.empty(len(nodes))
+    for lo in range(0, len(nodes), 2 * pairs):
+        r = nodes[lo : lo + 2 * pairs, None]
+        z = np.zeros(((len(r) + 1) // 2, len(a)), dtype=complex)
+        z.real = r[0::2] ** n * a
+        z.imag[: len(r) // 2] = r[1::2] ** n * a
+        Z = np.fft.ifft(z, n=M, axis=1, norm="forward")
+        head, tail = Z[:, : M // 2 + 1], np.conjugate(Z[:, mirror])
+        out[lo : lo + len(r) : 2] = _folded_mean(head + tail, p, M)
+        out[lo + 1 : lo + len(r) : 2] = _folded_mean(head - tail, p, M)[: len(r) // 2]
+    return out
+
+
+def _folded_mean(X: np.ndarray, p: float, M: int) -> np.ndarray:
+    """Mean of |x|^p over M angles for every row, from X = 2x at k = 0 .. floor(M/2)
+    of a real row's samples x, |x[-k]| = |x[k]|.
+
+    The full sum weighs k = 0 once, 0 < k < M/2 twice and k = M/2 (M even)
+    once. It is taken as twice the pairwise np.sum less the single terms,
+    which keeps the rounding of np.mean; a weighted dot product sums
+    sequentially and drifts by about sqrt(M) u.
+    """
+    powers = np.abs(X) ** p
+    sums = 2.0 * np.sum(powers, axis=1) - powers[:, 0]
+    if M % 2 == 0:
+        sums -= powers[:, -1]
+    return sums * (0.5**p / M)
+
+
 #: unit roundoff of IEEE double precision
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -332,8 +390,10 @@ def _mp_powers_truncated(f: CoeffSeq, p: float, nodes: np.ndarray) -> np.ndarray
     nodes on one grid (K grows with r, so the runs are few) goes through
     :func:`_mp_powers_on_nodes` as one polynomial, of the largest K in the
     run; a run that reaches K = f.degree samples f itself, with the bits of
-    the whole series.
+    the whole series. A series with real coefficients goes through
+    :func:`_mp_powers_on_node_pairs` instead, two nodes per transform.
     """
+    kernel = _mp_powers_on_nodes if np.any(f.coeffs.imag) else _mp_powers_on_node_pairs
     K = _effective_degrees(f.coeffs, nodes)
     # default_angular_points(K) of every node at once
     points = np.maximum(default_angular_points(0), 8 * (K + 1))
@@ -344,12 +404,63 @@ def _mp_powers_truncated(f: CoeffSeq, p: float, nodes: np.ndarray) -> np.ndarray
     for lo, hi in zip(starts, [*starts[1:], len(nodes)]):
         top = int(K[lo:hi].max())
         g = f if top == f.degree else CoeffSeq._owning(f.coeffs[: top + 1])
-        out[lo:hi] = _mp_powers_on_nodes(g, p, nodes[lo:hi], int(grids[lo]))
+        out[lo:hi] = kernel(g, p, nodes[lo:hi], int(grids[lo]))
     return out
 
 
 def bergman_norm(f: CoeffSeq, p: float, alpha: float) -> NormReport:
-    """A^p_alpha norm via ((a+1) int_0^1 2r (1-r^2)^a M_p^p(r,f) dr)^{1/p}.
+    """A^p_alpha norm ((a+1) int_0^1 2r (1-r^2)^a M_p^p(r,f) dr)^{1/p}.
+
+    At p = 2 the integral is sum |a_n|^2 ||z^n||^2 exactly, and
+    :func:`_bergman_closed_form` returns it with an a-priori rounding bound
+    as its refinement delta. Every other p goes through
+    :func:`_bergman_quadrature`.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if alpha <= -1:
+        raise AlphaRange(f"alpha={alpha} must exceed -1")
+    if p == 2:
+        return _bergman_closed_form(f, alpha)
+    return _bergman_quadrature(f, p, alpha)
+
+
+def _bergman_weights(degree: int, alpha: float) -> np.ndarray:
+    """||z^n||^2_{A^2_alpha} = n! Gamma(alpha+2) / Gamma(n+alpha+2) for
+    n = 0 .. degree, from w_0 = 1 and w_n = w_{n-1} n / (n + alpha + 1).
+
+    Each factor takes at most three roundings (alpha + 1, the sum, the
+    quotient) and the running product one more, so w_n is within 4n u of
+    its value, u the unit roundoff.
+    """
+    n = np.arange(1.0, degree + 1.0)
+    w = np.ones(degree + 1)
+    np.cumprod(n / (n + (alpha + 1.0)), out=w[1:])
+    return w
+
+
+def _bergman_closed_form(f: CoeffSeq, alpha: float) -> NormReport:
+    """||f||_{A^2_alpha} = (sum_n |a_n|^2 w_n)^{1/2}, w from :func:`_bergman_weights`.
+
+    To first order in u, each w_n is within 4D u (D the degree), each
+    |a_n|^2 w_n adds four roundings, the sum of D + 1 nonnegative terms D
+    more, and the square root halves that and adds one: (5D/2 + 3) u. The
+    report states (3D + 5) u, which also covers the two roundings with which
+    :func:`dirichlet_norm` adds |f(0)|^2. No angle or radial node is used,
+    so grid_points and radial_nodes are 0.
+    """
+    c = f.coeffs
+    value = float(np.sqrt(np.dot(c.real**2 + c.imag**2, _bergman_weights(f.degree, alpha))))
+    return NormReport(
+        value=value,
+        grid_points=0,
+        radial_nodes=0,
+        refinement_delta=(3 * f.degree + 5) * _UNIT_ROUNDOFF,
+    )
+
+
+def _bergman_quadrature(f: CoeffSeq, p: float, alpha: float) -> NormReport:
+    """The A^p_alpha norm of :func:`bergman_norm` by quadrature, for any p >= 1.
 
     The radial integral is the Gauss-Jacobi rule on 64 nodes, refined against
     128. M_p^p at a node r is the trapezoid rule on a_0 .. a_K only, where
@@ -360,10 +471,6 @@ def bergman_norm(f: CoeffSeq, p: float, alpha: float) -> NormReport:
     grid_points reports the grid of the whole series, the largest any node
     uses.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if alpha <= -1:
-        raise AlphaRange(f"alpha={alpha} must exceed -1")
     M = _fast_length(default_angular_points(f.degree))
 
     def value(n: int) -> float:
@@ -376,7 +483,11 @@ def bergman_norm(f: CoeffSeq, p: float, alpha: float) -> NormReport:
 
 
 def dirichlet_norm(f: CoeffSeq, p: float, alpha: float) -> NormReport:
-    """D^p_alpha norm: (|f(0)|^p + ||f'||_{A^p_alpha}^p)^{1/p}."""
+    """D^p_alpha norm: (|f(0)|^p + ||f'||_{A^p_alpha}^p)^{1/p}.
+
+    At p = 2 the A^2_alpha norm of f' is the closed form of
+    :func:`bergman_norm`, whose stated bound covers this sum too.
+    """
     rep = bergman_norm(derivative(f), p, alpha)
     value = (abs(f.coeff(0)) ** p + rep.value**p) ** (1.0 / p)
     return NormReport(

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffcore import CoeffSeq, partial_sum, prefix_sums
-from .errors import NotMonotone, TruncationMismatch
+from .coeffcore import CoeffSeq, is_number, partial_sum, prefix_sums
+from .errors import MalformedSpec, NotMonotone, TruncationMismatch
 from .lipschitz import fit_tail_slope
 from .norms import hp_norm
 
@@ -56,7 +56,12 @@ class DiscreteMeasure:
     def from_json(cls, text: str | dict) -> "DiscreteMeasure":
         """From JSON text or the object it parses to."""
         data = json.loads(text) if isinstance(text, str) else text
-        atoms = data["atoms"]
+        atoms = data.get("atoms") if isinstance(data, dict) else None
+        if not isinstance(atoms, list) or not all(
+            isinstance(a, dict) and is_number(a.get("t")) and is_number(a.get("mass"))
+            for a in atoms
+        ):
+            raise MalformedSpec('a measure is {"atoms": [{"t": ..., "mass": ...}, ...]}')
         return cls(
             np.array([a["t"] for a in atoms]), np.array([a["mass"] for a in atoms])
         )

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,32 @@ def test_bad_input_exits_2(capsys):
         capsys, "classify", "--spec", '{"kind":"nope","truncation":8}', "--p", "2"
     )
     assert code == 2
+
+
+def test_malformed_measure_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys, "classify", "--spec",
+        '{"kind":"measure_moments","truncation":10,"measure":[1]}',
+    )
+    assert code == 2
+    assert "MalformedSpec" in err
+
+
+def test_malformed_coeffs_exit_2(capsys):
+    code, _, err = run_cli(capsys, "norm", "--spec", '{"coeffs":[1,2]}')
+    assert code == 2
+    assert "MalformedSpec" in err
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """classify and profile never build a radial rule, so importing the CLI
+    must not pay for scipy.special."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, rhalylab, rhalylab.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_long_inline_spec_matches_file_form(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,12 +82,15 @@ def test_hp_norm_monotone_in_p():
 
 
 def test_bergman_norm_oracles():
-    one = CoeffSeq(np.array([1.0]))
-    assert abs(bergman_norm(one, 2.0, 0.0).value - 1.0) < 1e-12
-    assert abs(bergman_norm(one, 1.5, 2.5).value - 1.0) < 1e-12
-    z = CoeffSeq(np.array([0.0, 1.0]))
-    assert abs(bergman_norm(z, 2.0, 0.0).value - 1 / np.sqrt(2.0)) < 1e-12
-    assert abs(bergman_norm(z, 2.0, 1.0).value - 1 / np.sqrt(3.0)) < 1e-12
+    # the closed form that bergman_norm uses at p = 2, and the quadrature
+    # that it uses for every other p
+    for norm in (bergman_norm, norms._bergman_quadrature):
+        one = CoeffSeq(np.array([1.0]))
+        assert abs(norm(one, 2.0, 0.0).value - 1.0) < 1e-12
+        assert abs(norm(one, 1.5, 2.5).value - 1.0) < 1e-12
+        z = CoeffSeq(np.array([0.0, 1.0]))
+        assert abs(norm(z, 2.0, 0.0).value - 1 / np.sqrt(2.0)) < 1e-12
+        assert abs(norm(z, 2.0, 1.0).value - 1 / np.sqrt(3.0)) < 1e-12
 
 
 def test_bergman_alpha_range():
@@ -104,12 +108,19 @@ def test_bergman_bounded_by_hardy():
         assert bergman_norm(f, 2.0, 0.5).value <= hp_norm(f, 2.0).value + 1e-10
 
 
-def test_dirichlet_norm_oracles():
+def _dirichlet_oracles():
     assert abs(dirichlet_norm(CoeffSeq(np.array([2.0j])), 2.0, 0.0).value - 2.0) < 1e-12
     z = CoeffSeq(np.array([0.0, 1.0]))
     assert abs(dirichlet_norm(z, 2.0, 0.0).value - 1.0) < 1e-12
     f = CoeffSeq(np.array([1.0, 1.0]))
     assert abs(dirichlet_norm(f, 2.0, 1.0).value - np.sqrt(2.0)) < 1e-12
+
+
+def test_dirichlet_norm_oracles(monkeypatch):
+    # through the closed form, then through the quadrature of f'
+    _dirichlet_oracles()
+    monkeypatch.setattr(norms, "bergman_norm", norms._bergman_quadrature)
+    _dirichlet_oracles()
 
 
 def test_xqp_norm_oracles():
@@ -167,6 +178,14 @@ def test_beta_sup_is_the_max_of_mean_mp_bit_for_bit():
             expected = max((1.0 - r) ** (1.0 - alpha) * m for r, m in zip(radii, means))
             assert beta_sup(f, p, alpha, radii) == expected
             assert beta(f, p, alpha, radii[3]) == (1.0 - radii[3]) ** (1.0 - alpha) * means[3]
+    # real coefficients too: beta_sup keeps one complex transform per radius
+    for degree, alpha in zip(rng.integers(4, 5000, size=3), (0.25, 0.5, 1.0)):
+        f = CoeffSeq(rng.standard_normal(degree + 1))
+        fp = derivative(f)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            means = [mean_mp(fp, r, p).value for r in radii]
+            expected = max((1.0 - r) ** (1.0 - alpha) * m for r, m in zip(radii, means))
+            assert beta_sup(f, p, alpha, radii) == expected
 
 
 def test_refinement_delta_clean_at_default_grids():
@@ -174,6 +193,7 @@ def test_refinement_delta_clean_at_default_grids():
     f = CoeffSeq(rng.standard_normal(40) + 1j * rng.standard_normal(40))
     assert not hp_norm(f, 2.0).flagged
     assert not bergman_norm(f, 2.0, 0.0).flagged
+    assert not norms._bergman_quadrature(f, 2.0, 0.0).flagged
 
 
 def test_norm_report_json():
@@ -240,12 +260,40 @@ def test_fast_length_is_smallest_5_smooth():
 def test_bergman_gn_on_fast_length_matches_closed_form(alpha):
     # g_N has degree 40N, so the default grid 8(40N + 1) is not 5-smooth
     g = bergman_gn(2.0, alpha, 128)
-    rep = bergman_norm(g, 2.0, alpha)
-    assert rep.grid_points == norms._fast_length(8 * (g.degree + 1)) != 8 * (g.degree + 1)
     n = np.arange(g.degree + 1, dtype=float)
     w = np.exp(gammaln(n + 1.0) + gammaln(alpha + 2.0) - gammaln(n + alpha + 2.0))
     exact = np.sqrt(np.sum(np.abs(g.coeffs) ** 2 * w))
+    rep = norms._bergman_quadrature(g, 2.0, alpha)
+    assert rep.grid_points == norms._fast_length(8 * (g.degree + 1)) != 8 * (g.degree + 1)
     assert abs(rep.value - exact) / exact < 1e-10 + 2.0 * rep.refinement_delta
+    # the closed form bergman_norm returns agrees within the quadrature's delta
+    closed = bergman_norm(g, 2.0, alpha).value
+    assert abs(closed - rep.value) / rep.value < 1e-10 + rep.refinement_delta
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.5])
+def test_bergman_closed_form_within_its_stated_bound(alpha):
+    """Against 40-digit mpmath at degree 8191: each weight ||z^n||^2 within
+    4n u, and the value within the refinement delta the report states."""
+    degree = 8191
+    rng = np.random.default_rng(13)
+    f = CoeffSeq(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    rep = bergman_norm(f, 2.0, alpha)
+    assert (rep.grid_points, rep.radial_nodes) == (0, 0)
+    assert 0.0 < rep.refinement_delta == (3 * degree + 5) * U
+    weights = norms._bergman_weights(degree, alpha)
+    with mpmath.workdps(40):
+        exact_w = [mpmath.mpf(1)]
+        for n in range(1, degree + 1):
+            exact_w.append(exact_w[-1] * n / (n + mpmath.mpf(alpha) + 1))
+        for n, (w, e) in enumerate(zip(weights.tolist(), exact_w)):
+            assert abs(w - e) <= 4 * n * U * e
+        total = mpmath.fsum(
+            (mpmath.mpf(c.real) ** 2 + mpmath.mpf(c.imag) ** 2) * e
+            for c, e in zip(f.coeffs.tolist(), exact_w)
+        )
+        exact = mpmath.sqrt(total)
+        assert abs(rep.value - exact) <= rep.refinement_delta * exact
 
 
 def test_jacobi_rule_is_cached_and_read_only():
@@ -348,3 +396,60 @@ def test_bergman_genfn_samples_under_a_fifth_of_the_full_grid(monkeypatch):
     rep = bergman_norm(f, 1.5, 0.5)
     assert rep.grid_points == 65536
     assert 0 < sum(points) < 0.2 * 192 * 65536
+
+
+def _partners(values: np.ndarray) -> np.ndarray:
+    """The value of each node's partner in the pairing 0-1, 2-3, ...; an odd
+    last node is its own."""
+    out = values.copy()
+    pairs = len(values) // 2 * 2
+    out[0:pairs:2], out[1:pairs:2] = values[1:pairs:2], values[0:pairs:2]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("geometric", "derivative", "flat", "monomial")),
+    st.integers(0, 1500),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((1.0, 1.5, 3.0)),
+    st.sampled_from((63, 64, 128)),
+    st.booleans(),
+)
+def test_paired_real_rows_match_one_shot_within_few_u(shape, degree, seed, p, count, odd):
+    """Two real nodes per complex transform against one transform per node,
+    on odd and even node counts and odd and even 5-smooth grids.
+
+    The split rounds relative to |Z| <= |X_a| + |X_b|, so by Minkowski's
+    inequality M_p(r_a) moves by at most 16 u (M_p(r_a) + M_p(r_b)), r_b the
+    partner of r_a; the worst seen is about 6 u, on monomials, whose
+    partners differ by many orders of magnitude. Within a factor 1/u of
+    the underflow threshold the transform's intermediates go subnormal and
+    round absolutely, so the bound is checked where M_p^p >= tiny / u.
+    """
+    if shape == "monomial":
+        f = CoeffSeq(np.eye(1, degree + 1, degree)[0])
+    else:
+        f = CoeffSeq(_series(shape, degree, seed).coeffs.real)
+    nodes, _ = norms._jacobi_rule(0.5, count)
+    points = norms.default_angular_points(degree)
+    M = int(next(m for m in norms._smooth_lengths(16) if m >= points and m % 2 == odd))
+    ref = _one_shot_mp_powers(f, p, nodes, M)
+    normal = ref >= np.finfo(float).tiny / U
+    got = norms._mp_powers_on_node_pairs(f, p, nodes, M) ** (1.0 / p)
+    ref = ref ** (1.0 / p)
+    assert np.all((np.abs(got - ref) <= 16 * U * (ref + _partners(ref)))[normal])
+
+
+def test_only_real_series_take_the_paired_kernel(monkeypatch):
+    used = []
+    for name in ("_mp_powers_on_nodes", "_mp_powers_on_node_pairs"):
+        kernel = getattr(norms, name)
+        monkeypatch.setattr(norms, name, lambda *a, k=kernel, n=name: used.append(n) or k(*a))
+    nodes, _ = norms._jacobi_rule(0.5, 64)
+    c = np.random.default_rng(14).standard_normal(300)
+    norms._mp_powers_truncated(CoeffSeq(c), 1.5, nodes)
+    assert set(used) == {"_mp_powers_on_node_pairs"}
+    used.clear()
+    norms._mp_powers_truncated(CoeffSeq(c + 1j * c[::-1]), 1.5, nodes)
+    assert set(used) == {"_mp_powers_on_nodes"}
