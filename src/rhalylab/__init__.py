@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .coeffcore import CircleGrid, CoeffSeq
 from .errors import RhalyError
-from .lipschitz import BlockProfile, MembershipVerdict, block_profile, classify_membership
+from .lipschitz import BlockProfile, block_profile, classify_membership
 from .norms import NormReport, bergman_norm, hp_norm, mean_mp
 from .rhalyop import (
     DiscreteMeasure,
@@ -32,7 +32,6 @@ __all__ = [
     "CoeffSeq",
     "RhalyError",
     "BlockProfile",
-    "MembershipVerdict",
     "block_profile",
     "classify_membership",
     "NormReport",

@@ -22,7 +22,6 @@ from .coeffcore import CoeffSeq, derivative, partial_sum, zero_head
 from .errors import AlphaRange, PRange, TruncationMismatch
 from .lipschitz import (
     BIG_LAMBDA,
-    DEFAULT_EPS_TAIL,
     INCONCLUSIVE,
     LITTLE_LAMBDA,
     NEITHER,
@@ -31,7 +30,7 @@ from .lipschitz import (
     fit_K,
     fit_tail_slope,
 )
-from .norms import REFINEMENT_FLAG, _BlockEngine, dirichlet_norm, hp_norm, xqp_norm
+from .norms import REFINEMENT_FLAG, _BlockEngine, dirichlet_norm, hp_norm
 from .rhalyop import (
     SequenceSpec,
     _apply_realized,
@@ -47,6 +46,10 @@ INCONCLUSIVE_VERDICT = "Inconclusive"
 #: classifier-level slope threshold; tighter than the membership default so
 #: that profiles growing like a small positive power still register as growth
 CLASSIFIER_EPS_SLOPE = 0.05
+
+#: dyadic blocks N = 2..2^K a verdict profiles, fewer when the truncation
+#: cannot hold them (:func:`lipschitz.fit_K`)
+VERDICT_K = 12
 
 #: log-log trend above which a ratio sequence counts as unbounded growth
 TREND_THRESHOLD = 0.1
@@ -103,16 +106,17 @@ def _profile_evidence(name: str, profile) -> tuple:
     )
 
 
-def _memberships(eta: SequenceSpec, K: int, eps_slope, eps_tail):
-    """Membership of F at (p, 1/p) as a function of p. F is realized and its
-    blocks sampled once, and every exponent asked for reads those samples."""
+def _memberships(eta: SequenceSpec):
+    """(membership class, profile) of F at (p, 1/p) as a function of p. F is
+    realized and its blocks sampled once, and every exponent asked for reads
+    those samples."""
     F = generating_function(eta)
-    K = fit_K(eta.truncation, K)
+    K = fit_K(eta.truncation, VERDICT_K)
     engine = _BlockEngine(F.coeffs, 2 ** np.arange(1, K + 1))
 
     def at(p: float):
         profile = block_profile(F, p, 1.0 / p, K, engine=engine)
-        return classify_membership(profile, eps_slope, eps_tail)
+        return classify_membership(profile, CLASSIFIER_EPS_SLOPE), profile
 
     return at
 
@@ -125,13 +129,7 @@ _MEMBERSHIP_TO_CONCLUSION = {
 }
 
 
-def classify_hardy(
-    eta: SequenceSpec,
-    p: float,
-    K: int = 12,
-    eps_slope: float = CLASSIFIER_EPS_SLOPE,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-) -> Verdict:
+def classify_hardy(eta: SequenceSpec, p: float) -> Verdict:
     """Boundedness/compactness on H^p from the generating function.
 
     For 1 < p <= 2 the membership test at (p, 1/p) is an iff. For p > 2
@@ -143,42 +141,35 @@ def classify_hardy(
     if not 1.0 < p < np.inf:
         raise PRange(f"p={p} must lie in (1, inf)")
     space = f"Hardy(p={p})"
-    membership = _memberships(eta, K, eps_slope, eps_tail)
+    membership = _memberships(eta)
     if p <= 2.0:
-        verdict = membership(p)
-        conclusion = _MEMBERSHIP_TO_CONCLUSION[verdict.space]
+        member, profile = membership(p)
+        conclusion = _MEMBERSHIP_TO_CONCLUSION[member]
         theorem = "Thm2a" if conclusion == COMPACT else "Thm1a"
         return Verdict(
             conclusion=conclusion,
             theorem=theorem,
             space=space,
-            evidence=(_profile_evidence("block_profile", verdict.profile),),
+            evidence=(_profile_evidence("block_profile", profile),),
         )
     # p > 2: sufficiency on a q-grid strictly inside (2, p)
     evidence = []
     for k in range(1, 8):
         q = 2.0 + (p - 2.0) * k / 8.0
-        v = membership(q)
-        evidence.append(_profile_evidence(f"block_profile_q={q}", v.profile))
-        if v.space == LITTLE_LAMBDA:
+        member, profile = membership(q)
+        evidence.append(_profile_evidence(f"block_profile_q={q}", profile))
+        if member == LITTLE_LAMBDA:
             return Verdict(COMPACT, "Thm2c", space, tuple(evidence))
-        if v.space == BIG_LAMBDA:
+        if member == BIG_LAMBDA:
             return Verdict(BOUNDED, "Thm1c", space, tuple(evidence))
-    v_at_p = membership(p)
-    evidence.append(_profile_evidence("block_profile_at_p", v_at_p.profile))
-    if v_at_p.space == NEITHER:
+    member, profile = membership(p)
+    evidence.append(_profile_evidence("block_profile_at_p", profile))
+    if member == NEITHER:
         return Verdict(NOT_BOUNDED, "Thm1b", space, tuple(evidence))
     return Verdict(INCONCLUSIVE_VERDICT, "Thm1b", space, tuple(evidence))
 
 
-def classify_bergman(
-    eta: SequenceSpec,
-    p: float,
-    alpha: float,
-    K: int = 12,
-    eps_slope: float = CLASSIFIER_EPS_SLOPE,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-) -> Verdict:
+def classify_bergman(eta: SequenceSpec, p: float, alpha: float) -> Verdict:
     """Boundedness/compactness on A^p_alpha from the generating function.
 
     The sufficiency direction holds on the full range alpha > -1; the
@@ -191,15 +182,15 @@ def classify_bergman(
         raise AlphaRange(f"alpha={alpha} must exceed -1")
     space = f"Bergman(p={p},alpha={alpha})"
     theorem = "Thm3" if alpha == 0.0 else "Thm7"
-    verdict = _memberships(eta, K, eps_slope, eps_tail)(p)
-    conclusion = _MEMBERSHIP_TO_CONCLUSION[verdict.space]
+    member, profile = _memberships(eta)(p)
+    conclusion = _MEMBERSHIP_TO_CONCLUSION[member]
     if conclusion == NOT_BOUNDED and alpha >= 2.0 * p - 2.0:
         conclusion = INCONCLUSIVE_VERDICT
     return Verdict(
         conclusion=conclusion,
         theorem=theorem,
         space=space,
-        evidence=(_profile_evidence("block_profile", verdict.profile),),
+        evidence=(_profile_evidence("block_profile", profile),),
     )
 
 
@@ -250,9 +241,7 @@ def h1_necessary(eta: SequenceSpec, Ns) -> Verdict:
     return Verdict(INCONCLUSIVE_VERDICT, "Thm6i", "Hardy(p=1)", evidence)
 
 
-def decreasing_rule(
-    eta: SequenceSpec, p: float, trend_threshold: float = TREND_THRESHOLD
-) -> Verdict:
+def decreasing_rule(eta: SequenceSpec, p: float) -> Verdict:
     """Exact rule for certified nonnegative decreasing weights: bounded on
     H^p (1 < p < inf) exactly when n * eta_n stays bounded."""
     if not 1.0 < p < np.inf:
@@ -264,23 +253,23 @@ def decreasing_rule(
     trend = fit_tail_slope(ns.astype(float), products)
     evidence = (
         ("n_eta_n", {"ns": ns.tolist(), "values": products.tolist(),
-                     "trend": trend, "threshold": trend_threshold}),
+                     "trend": trend, "threshold": TREND_THRESHOLD}),
     )
-    conclusion = NOT_BOUNDED if trend > trend_threshold else BOUNDED
+    conclusion = NOT_BOUNDED if trend > TREND_THRESHOLD else BOUNDED
     return Verdict(conclusion, "Thm4iii", f"Hardy(p={p})", evidence)
 
 
 # --- embedding diagnostics -------------------------------------------------
 
 
-def default_corpus(seed: int = 11, n_random: int = 20) -> list[CoeffSeq]:
-    """Fixed test corpus: the concentrated family plus seeded random
+def default_corpus() -> list[CoeffSeq]:
+    """Fixed test corpus: the concentrated family plus 20 seeded random
     polynomials of degree 256."""
     from .constructions import extremal_fn
 
     corpus = [extremal_fn(2.0, N) for N in (4, 8, 16, 32, 64)]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
         c = rng.standard_normal(257) + 1j * rng.standard_normal(257)
         corpus.append(CoeffSeq(c))
     return corpus
@@ -289,52 +278,52 @@ def default_corpus(seed: int = 11, n_random: int = 20) -> list[CoeffSeq]:
 def dpp_embedding_check(
     eta: SequenceSpec,
     p: float,
-    q: float | None = None,
     corpus: list[CoeffSeq] | None = None,
     tail_Ns=(64, 256, 1024),
 ) -> dict:
-    """Fitted embedding constants into the derivative-weighted target spaces.
+    """Fitted embedding constants into the derivative-weighted target space.
 
     Reports the largest ratio over the corpus of the Dirichlet-type norm of
-    the image against the H^p norm of the input (and the mixed-norm
-    analogue when q is given), plus the same ratios for the tail operators,
-    which must decay when the operator is compact.
+    the image against the H^p norm of the input, plus the same ratios for
+    the tail operators, which must decay when the operator is compact, and
+    the worst refinement delta of the norms behind them.
     """
     if corpus is None:
         corpus = default_corpus()
     for N in tail_Ns:
         if N > eta.truncation:
             raise TruncationMismatch(f"N={N} exceeds truncation {eta.truncation}")
+    deltas = []
+
+    def norm(rep) -> float:
+        deltas.append(rep.refinement_delta)
+        return rep.value
+
     dirichlet_ratios = []
-    xqp_ratios = []
     images = []
     ev = eta.values()
     for f in corpus:
-        denom = hp_norm(f, p).value
+        denom = norm(hp_norm(f, p))
         if denom == 0.0:
             continue
         Rf = _apply_realized(ev, f)
         images.append((Rf, denom))
-        dirichlet_ratios.append(dirichlet_norm(Rf, p, p - 1.0).value / denom)
-        if q is not None:
-            xqp_ratios.append(xqp_norm(Rf, q, p).value / denom)
+        dirichlet_ratios.append(norm(dirichlet_norm(Rf, p, p - 1.0)) / denom)
     # each tail (R - R_N) f is the image with coefficients 0..N zeroed
     tail_ratios = [
         max(
-            (dirichlet_norm(zero_head(Rf, int(N)), p, p - 1.0).value / denom
+            (norm(dirichlet_norm(zero_head(Rf, int(N)), p, p - 1.0)) / denom
              for Rf, denom in images),
             default=0.0,
         )
         for N in tail_Ns
     ]
-    out = {
+    return {
         "dirichlet_constant": max(dirichlet_ratios, default=0.0),
         "tail_Ns": list(tail_Ns),
         "tail_ratios": tail_ratios,
+        "refinement_delta": max(deltas, default=0.0),
     }
-    if q is not None:
-        out["xqp_constant"] = max(xqp_ratios, default=0.0)
-    return out
 
 
 def hardy_inequality_check(f: CoeffSeq) -> tuple[float, float]:

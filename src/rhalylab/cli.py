@@ -2,12 +2,17 @@
 estimates, the counterexample generator, the kernel check, and the full
 verification suite.
 
-Structured results go to stdout as JSON (series as CSV side files when an
-output directory is given). Every output embeds the run configuration so a
-result can be reproduced from the file alone. Exit codes: 0 success,
-2 input error, 3 numeric non-convergence (an operator-norm iteration that
-did not converge, or a block profile left unresolved on its finest grid,
-which makes `profile` and `classify` Inconclusive), 4 suite failure.
+Each subcommand takes only the flags it reads, picked by name from one
+table (:data:`_FLAGS`); a flag it does not read is a usage error. The
+thresholds of profiles and verdicts are fixed, not flags. Structured
+results go to stdout as JSON (series as CSV side files when an output
+directory is given). Every output embeds the run configuration, the flags
+that were set plus the values derived from them, so a result can be
+reproduced from the file alone. Exit codes: 0 success, 2 input error
+(including a spec of the wrong shape), 3 numeric non-convergence (an
+operator-norm iteration that did not converge, or a block profile left
+unresolved on its finest grid, which makes `profile` and `classify`
+Inconclusive), 4 suite failure.
 """
 
 from __future__ import annotations
@@ -22,16 +27,10 @@ import numpy as np
 
 from . import __version__
 from .classifier import classify_bergman, classify_hardy
-from .coeffcore import CoeffSeq
+from .coeffcore import CoeffSeq, is_number
 from .constructions import PolygonalProfile, construct_upsilon, w_kernel
-from .errors import RhalyError
-from .lipschitz import (
-    DEFAULT_EPS_SLOPE,
-    DEFAULT_EPS_TAIL,
-    block_profile,
-    classify_membership,
-    fit_K,
-)
+from .errors import MalformedSpec, RhalyError
+from .lipschitz import block_profile, classify_membership, fit_K
 from .norms import bergman_norm, dirichlet_norm, hp_norm, xqp_norm
 from .rhalyop import SequenceSpec, generating_function, opnorm_h2, opnorm_lower_hp
 
@@ -66,7 +65,11 @@ def _load_series(text: str, trunc: int | None) -> tuple[CoeffSeq, dict]:
     spec (realized through its generating function)."""
     data = _read_json_arg(text)
     if isinstance(data, list):
+        if not all(map(is_number, data)):
+            raise MalformedSpec("a coefficient list holds numbers only")
         return CoeffSeq(np.array(data, dtype=complex)), {"input": "coeff_list"}
+    if not isinstance(data, dict):
+        raise MalformedSpec("expected a coefficient list, a series or a sequence spec")
     if "coeffs" in data:
         return CoeffSeq.from_json(data), {"input": "coeffs"}
     spec = _load_spec_dict(data, trunc)
@@ -104,11 +107,12 @@ def _write_csv(out: str | None, stem: str, text: str) -> None:
 
 
 def _config(args: argparse.Namespace, **extra) -> dict:
-    cfg = {"command": args.command}
-    for key in ("p", "alpha", "q", "trunc", "seed", "grid_M", "grid_J",
-                "eps_slope", "eps_tail", "space"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
+    """The command, every flag that was set except --spec and --out, and extra."""
+    cfg = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("func", "spec", "out") and value is not None
+    }
     cfg.update(extra)
     return cfg
 
@@ -119,7 +123,7 @@ def _config(args: argparse.Namespace, **extra) -> dict:
 def cmd_norm(args) -> int:
     f, meta = _load_series(args.spec, args.trunc)
     if args.space == "hardy":
-        rep = hp_norm(f, args.p, args.grid_M)
+        rep = hp_norm(f, args.p)
     elif args.space == "bergman":
         rep = bergman_norm(f, args.p, args.alpha if args.alpha is not None else 0.0)
     elif args.space == "dirichlet":
@@ -139,15 +143,10 @@ def cmd_profile(args) -> int:
     K = fit_K(f.degree, args.grid_J if args.grid_J is not None else 12)
     alpha = args.alpha if args.alpha is not None else 1.0 / args.p
     prof = block_profile(f, args.p, alpha, K)
-    verdict = classify_membership(
-        prof,
-        args.eps_slope if args.eps_slope is not None else DEFAULT_EPS_SLOPE,
-        args.eps_tail if args.eps_tail is not None else DEFAULT_EPS_TAIL,
-    )
     _write_csv(args.out, "profile", prof.to_csv())
     _emit(
         {
-            "profile": json.loads(prof.sidecar_json(verdict.space)),
+            "profile": json.loads(prof.sidecar_json(classify_membership(prof))),
             "entries": [[N, s] for N, s in prof.entries],
             **meta,
         },
@@ -160,17 +159,10 @@ def cmd_profile(args) -> int:
 
 def cmd_classify(args) -> int:
     spec = _load_spec(args.spec, args.trunc)
-    kwargs = {}
-    if args.eps_slope is not None:
-        kwargs["eps_slope"] = args.eps_slope
-    if args.eps_tail is not None:
-        kwargs["eps_tail"] = args.eps_tail
     if args.space == "bergman":
-        verdict = classify_bergman(
-            spec, args.p, args.alpha if args.alpha is not None else 0.0, **kwargs
-        )
+        verdict = classify_bergman(spec, args.p, args.alpha if args.alpha is not None else 0.0)
     else:
-        verdict = classify_hardy(spec, args.p, **kwargs)
+        verdict = classify_hardy(spec, args.p)
     _emit({"verdict": json.loads(verdict.to_json())}, _config(args), args.out, "verdict")
     return EXIT_NO_CONVERGENCE if verdict.unresolved else EXIT_OK
 
@@ -206,12 +198,17 @@ def cmd_counterexample(args) -> int:
 
 def cmd_basis_check(args) -> int:
     data = _read_json_arg(args.spec)
+    if not isinstance(data, dict) or not all(
+        isinstance(data.get(key), list) and all(map(is_number, data[key]))
+        for key in ("knots_x", "knots_y")
+    ):
+        raise MalformedSpec('a profile is {"knots_x": [...], "knots_y": [...]} of numbers')
     psi = PolygonalProfile(
         np.array(data["knots_x"], dtype=float),
         np.array(data["knots_y"], dtype=float),
     )
     n = args.trunc if args.trunc is not None else 32
-    grid = args.grid_M if args.grid_M is not None else 32 * n
+    grid = 32 * n
     ratio = w_kernel(psi, n, grid)
     _emit(
         {
@@ -245,6 +242,36 @@ def cmd_suite(args) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
+#: every flag a subcommand may take, by name
+_FLAGS = {
+    "spec": dict(required=True, help="inline JSON or a JSON file path"),
+    "p": dict(type=float, default=2.0),
+    "alpha": dict(type=float),
+    "q": dict(type=float),
+    "trunc": dict(type=int),
+    "out": dict(),
+    "grid-J": dict(dest="grid_J", type=int),
+    "seed": dict(type=int, default=0),
+}
+
+#: (name, handler, help, flags read, --space choices); the first choice is
+#: the default
+_SUBCOMMANDS = (
+    ("norm", cmd_norm, "norm of a coefficient series or generating function",
+     ("spec", "p", "alpha", "q", "trunc", "out"), ("hardy", "bergman", "dirichlet", "xqp")),
+    ("profile", cmd_profile, "dyadic block profile and membership verdict",
+     ("spec", "p", "alpha", "trunc", "out", "grid-J"), ()),
+    ("classify", cmd_classify, "boundedness/compactness verdict",
+     ("spec", "p", "alpha", "trunc", "out"), ("hardy", "bergman")),
+    ("opnorm", cmd_opnorm, "operator norm estimate (section or lower bound)",
+     ("spec", "p", "trunc", "out", "seed"), ()),
+    ("counterexample", cmd_counterexample, "sign-series counterexample generator",
+     ("p", "out", "grid-J"), ()),
+    ("basis-check", cmd_basis_check, "polygonal kernel bound check",
+     ("spec", "trunc", "out"), ()),
+    ("suite", cmd_suite, "run the full verification battery", ("out",), ()),
+)
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,52 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, need_p=True):
-        sp.add_argument("--spec", required=False, help="inline JSON or a JSON file path")
-        if need_p:
-            sp.add_argument("--p", type=float, default=2.0)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--q", type=float, default=None)
-        sp.add_argument("--trunc", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--grid-M", dest="grid_M", type=int, default=None)
-        sp.add_argument("--grid-J", dest="grid_J", type=int, default=None)
-        sp.add_argument("--eps-slope", dest="eps_slope", type=float, default=None)
-        sp.add_argument("--eps-tail", dest="eps_tail", type=float, default=None)
-
-    sp = sub.add_parser("norm", help="norm of a coefficient series or generating function")
-    common(sp)
-    sp.add_argument("--space", choices=("hardy", "bergman", "dirichlet", "xqp"),
-                    default="hardy")
-    sp.set_defaults(func=cmd_norm)
-
-    sp = sub.add_parser("profile", help="dyadic block profile and membership verdict")
-    common(sp)
-    sp.set_defaults(func=cmd_profile)
-
-    sp = sub.add_parser("classify", help="boundedness/compactness verdict")
-    common(sp)
-    sp.add_argument("--space", choices=("hardy", "bergman"), default="hardy")
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("opnorm", help="operator norm estimate (section or lower bound)")
-    common(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_opnorm)
-
-    sp = sub.add_parser("counterexample", help="sign-series counterexample generator")
-    common(sp)
-    sp.set_defaults(func=cmd_counterexample)
-
-    sp = sub.add_parser("basis-check", help="polygonal kernel bound check")
-    common(sp)
-    sp.set_defaults(func=cmd_basis_check)
-
-    sp = sub.add_parser("suite", help="run the full verification battery")
-    common(sp, need_p=False)
-    sp.set_defaults(func=cmd_suite)
-
+    for name, func, help_text, flags, spaces in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        if spaces:
+            sp.add_argument("--space", choices=spaces, default=spaces[0])
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -5,8 +5,8 @@ function truncated at degree d. All operations are pure; coefficient arrays
 are frozen after construction. Coefficient reads beyond the stored degree
 are treated as 0, matching the truncated-series semantics used everywhere
 else in the package. The algebra is what the package uses: the derivative,
-the coefficientwise product, blocks and partial sums S_N f, and the
-remainder f - S_N f (:func:`zero_head`).
+the coefficientwise product, the partial sums S_N f, and the remainder
+f - S_N f (:func:`zero_head`).
 
 :func:`prefix_sums` is the kernel behind every application of a Rhaly
 operator, f -> (eta_n sum_{k<=n} a_k)_n. It is vectorized and compensated:
@@ -182,23 +182,14 @@ def evaluate_on_circle(f: CoeffSeq, grid: CircleGrid) -> np.ndarray:
     return np.fft.ifft(padded) * grid.points
 
 
-def slice_coeffs(f: CoeffSeq, n: int, m: int) -> CoeffSeq:
-    """Keep coefficients n..m in place, zero the rest; indices past the
-    degree read as 0."""
-    if n < 0:
-        raise IndexOrder("slice start must be >= 0")
-    if n > m:
-        raise IndexOrder(f"slice start {n} exceeds end {m}")
-    out = np.zeros(f.degree + 1, dtype=complex)
-    lo = min(n, f.degree + 1)
-    hi = min(m + 1, f.degree + 1)
-    out[lo:hi] = f.coeffs[lo:hi]
-    return CoeffSeq(out)
-
-
 def partial_sum(f: CoeffSeq, N: int) -> CoeffSeq:
-    """Coefficients 0 .. N."""
-    return slice_coeffs(f, 0, N)
+    """S_N f: coefficients 0 .. N kept in place, the rest zeroed, the degree
+    kept. N at or past the degree gives f."""
+    if N < 0:
+        raise IndexOrder(f"partial sum index {N} must be >= 0")
+    out = f.coeffs.copy()
+    out[N + 1 :] = 0
+    return CoeffSeq._owning(out)
 
 
 def zero_head(f: CoeffSeq, N: int) -> CoeffSeq:

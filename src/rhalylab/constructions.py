@@ -149,13 +149,11 @@ def w_kernel(psi: PolygonalProfile, n: int, theta_grid: int) -> float:
 # --- Bergman rescaling -----------------------------------------------------
 
 
-def bergman_gn(
-    p: float, alpha: float, N: int, truncation: int | None = None
-) -> CoeffSeq:
+def bergman_gn(p: float, alpha: float, N: int) -> CoeffSeq:
     """g_N = N^{(alpha+1)/p} f_N, normalized for the A^p_alpha scale."""
     if not -1.0 < alpha < 2.0 * p - 2.0:
         raise AlphaRange(f"alpha={alpha} outside (-1, 2p-2) for p={p}")
-    f = extremal_fn(p, N, truncation)
+    f = extremal_fn(p, N)
     return CoeffSeq(N ** ((alpha + 1.0) / p) * f.coeffs)
 
 
@@ -178,6 +176,15 @@ def phi_psi_n(N: int, a_N: float | None = None) -> tuple[CoeffSeq, CoeffSeq]:
 
 
 # --- Rademacher signs and Khinchine constants ------------------------------
+
+#: sign moments enumerate all 2^L patterns up to this length L, and above it
+#: average KHINCHINE_MC_BUDGET draws seeded with KHINCHINE_SEED
+KHINCHINE_EXACT_LIMIT = 20
+KHINCHINE_MC_BUDGET = 20000
+KHINCHINE_SEED = 0
+
+#: phase rotations c_j -> c_j e^{i j theta} a Khinchine report scans
+KHINCHINE_ROTATIONS = 16
 
 
 @dataclass(frozen=True)
@@ -202,53 +209,47 @@ def _all_sign_vectors(length: int) -> np.ndarray:
     return signs
 
 
-def _sign_chunks(length: int, rows: int, exact_limit: int, mc_budget: int, seed: int):
+def _sign_chunks(length: int, rows: int):
     """The sign set of :func:`_sign_moments` as int8 chunks of at most `rows`
-    rows: every pattern when length <= exact_limit, else mc_budget seeded
-    draws. Each chunk is drawn and cast to int8 on its own; the chunks
-    continue one stream, so together they equal one (mc_budget, length) draw.
+    rows: every pattern when length <= KHINCHINE_EXACT_LIMIT, else
+    KHINCHINE_MC_BUDGET seeded draws. Each chunk is drawn and cast to int8 on
+    its own; the chunks continue one stream, so together they equal one
+    (KHINCHINE_MC_BUDGET, length) draw.
     """
-    if length <= exact_limit:
+    if length <= KHINCHINE_EXACT_LIMIT:
         table = _all_sign_vectors(length)
         for lo in range(0, len(table), rows):
             yield table[lo : lo + rows]
         return
-    rng = np.random.default_rng(seed)
-    for lo in range(0, mc_budget, rows):
-        signs = rng.integers(0, 2, size=(min(rows, mc_budget - lo), length)).astype(np.int8)
+    rng = np.random.default_rng(KHINCHINE_SEED)
+    budget = KHINCHINE_MC_BUDGET
+    for lo in range(0, budget, rows):
+        signs = rng.integers(0, 2, size=(min(rows, budget - lo), length)).astype(np.int8)
         signs *= 2
         signs -= 1
         yield signs
 
 
-def _sign_moments(
-    C: np.ndarray, p: float, exact_limit: int, mc_budget: int, seed: int
-) -> tuple[np.ndarray, bool]:
+def _sign_moments(C: np.ndarray, p: float) -> tuple[np.ndarray, bool]:
     """Normalized p-th sign moments of each column of the L x R amplitudes C.
 
-    One sign set (every pattern when L <= exact_limit, else mc_budget seeded
-    draws) serves all R columns through the product signs @ C.
+    One sign set (:func:`_sign_chunks`) serves all R columns through the
+    product signs @ C.
     """
     length = C.shape[0]
     # chunks of sign rows keep the complex product near 16 MB for any length
     rows = max(1, (1 << 20) // length)
     total = np.zeros(C.shape[1])
     count = 0
-    for signs in _sign_chunks(length, rows, exact_limit, mc_budget, seed):
+    for signs in _sign_chunks(length, rows):
         # rows of the R x rows product are contiguous, so np.sum is pairwise
         total += np.sum(np.abs(C.T @ signs.T) ** p, axis=1)
         count += len(signs)
     denoms = np.sum(np.abs(C) ** 2, axis=0) ** (p / 2.0)
-    return total / count / denoms, length <= exact_limit
+    return total / count / denoms, length <= KHINCHINE_EXACT_LIMIT
 
 
-def khinchine_ratio(
-    c: np.ndarray,
-    p: float,
-    exact_limit: int = 20,
-    mc_budget: int = 20000,
-    seed: int = 0,
-) -> tuple[float, bool]:
+def khinchine_ratio(c: np.ndarray, p: float) -> tuple[float, bool]:
     """E_t |sum c_j r_j(t)|^p normalized by (sum |c_j|^2)^{p/2}.
 
     The t-integral is the average over independent uniform signs, computed
@@ -256,29 +257,23 @@ def khinchine_ratio(
     Monte Carlo otherwise.
     """
     C = np.asarray(c, dtype=complex)[:, None]
-    ratios, exact = _sign_moments(C, p, exact_limit, mc_budget, seed)
+    ratios, exact = _sign_moments(C, p)
     return float(ratios[0]), exact
 
 
-def khinchine_report(
-    c,
-    p: float,
-    exact_limit: int = 20,
-    mc_budget: int = 20000,
-    seed: int = 0,
-    n_theta: int = 16,
-) -> RademacherReport:
+def khinchine_report(c, p: float) -> RademacherReport:
     """Empirical two-sided Khinchine constants for the given amplitudes.
 
     The normalized p-th moment is scanned over the phase rotations
     c_j -> c_j e^{i j theta}; its min and max bracket the constants that
     Khinchine's inequality guarantees exist. Every rotation uses the same
-    signs, so the moments of all n_theta rotations come from one product.
+    signs, so the moments of all KHINCHINE_ROTATIONS rotations come from one
+    product.
     """
     c = np.asarray(c, dtype=complex)
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    thetas = 2.0 * np.pi * np.arange(KHINCHINE_ROTATIONS) / KHINCHINE_ROTATIONS
     C = c[:, None] * np.exp(1j * np.arange(len(c))[:, None] * thetas[None, :])
-    ratios, exact = _sign_moments(C, p, exact_limit, mc_budget, seed)
+    ratios, exact = _sign_moments(C, p)
     return RademacherReport(
         m=len(c) - 1,
         p=p,

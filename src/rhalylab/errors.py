@@ -10,7 +10,7 @@ class OversamplingViolation(RhalyError):
 
 
 class IndexOrder(RhalyError):
-    """Coefficient slice requested with start index above end index."""
+    """Partial sum requested below index 0."""
 
 
 class AlphaRange(RhalyError):

@@ -4,8 +4,13 @@ Membership in the growth class at exponent alpha is read off the sequence
 N^alpha ||Delta_N f||_{H^p} over dyadic N: bounded profiles indicate the
 big-oh class, profiles that decay to zero the little-oh class, and profiles
 with a clear upward log-log slope indicate neither. Since any finite
-truncation underdetermines an asymptotic statement, thresholds are explicit
-configuration and "Inconclusive" is a first-class outcome.
+truncation underdetermines an asymptotic statement, the thresholds are
+explicit constants and "Inconclusive" is a first-class outcome. The slope
+threshold has two values in use, :data:`DEFAULT_EPS_SLOPE` for
+`rhalylab profile` and criterion 2 and the tighter
+:data:`classifier.CLASSIFIER_EPS_SLOPE` for verdicts, so it stays a
+parameter of :func:`classify_membership`; the tail threshold
+:data:`EPS_TAIL` has one.
 
 The block norms come from :class:`norms._BlockEngine`, each block on its own
 support. A profile carries the worst refinement delta of its blocks, and a
@@ -28,7 +33,7 @@ from .errors import DegreeTooSmall
 from .norms import REFINEMENT_FLAG, _BlockEngine, beta_sup
 
 DEFAULT_EPS_SLOPE = 0.1
-DEFAULT_EPS_TAIL = 0.5
+EPS_TAIL = 0.5
 
 BIG_LAMBDA = "BigLambda"
 LITTLE_LAMBDA = "LittleLambda"
@@ -70,14 +75,6 @@ class BlockProfile:
         if verdict is not None:
             data["verdict"] = verdict
         return json.dumps(data)
-
-
-@dataclass(frozen=True)
-class MembershipVerdict:
-    space: str
-    profile: BlockProfile
-    eps_slope: float
-    eps_tail: float
 
 
 def fit_tail_slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -138,12 +135,8 @@ def block_profile(
     )
 
 
-def classify_membership(
-    profile: BlockProfile,
-    eps_slope: float = DEFAULT_EPS_SLOPE,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-) -> MembershipVerdict:
-    """Map a block profile to a membership verdict.
+def classify_membership(profile: BlockProfile, eps_slope: float = DEFAULT_EPS_SLOPE) -> str:
+    """Map a block profile to its membership class.
 
     Bounded-and-flat profiles are BigLambda, additionally-vanishing tails
     are LittleLambda, clearly growing slopes are Neither, everything else
@@ -153,34 +146,21 @@ def classify_membership(
     scaled = profile.scaled_norms
     top = scaled.max()
     if profile.flagged:
-        space = INCONCLUSIVE
-    elif top == 0.0:
+        return INCONCLUSIVE
+    if top == 0.0:
         # identically vanishing blocks: trivially in the little-oh class
-        space = LITTLE_LAMBDA
-    else:
-        # boundedness means no late surge; a decaying tail is still bounded,
-        # so only the tail half is compared against the overall median
-        tail_top = scaled[len(scaled) // 2 :].max()
-        bounded = (
-            tail_top / max(np.median(scaled), np.finfo(float).tiny) <= 1.0 / eps_tail
-        )
-        if profile.slope <= eps_slope and bounded:
-            space = LITTLE_LAMBDA if profile.tail_ratio <= eps_tail else BIG_LAMBDA
-        elif profile.slope >= 2.0 * eps_slope:
-            space = NEITHER
-        else:
-            space = INCONCLUSIVE
-    return MembershipVerdict(
-        space=space, profile=profile, eps_slope=eps_slope, eps_tail=eps_tail
-    )
+        return LITTLE_LAMBDA
+    # boundedness means no late surge; a decaying tail is still bounded,
+    # so only the tail half is compared against the overall median
+    tail_top = scaled[len(scaled) // 2 :].max()
+    bounded = tail_top / max(np.median(scaled), np.finfo(float).tiny) <= 1.0 / EPS_TAIL
+    if profile.slope <= eps_slope and bounded:
+        return LITTLE_LAMBDA if profile.tail_ratio <= EPS_TAIL else BIG_LAMBDA
+    if profile.slope >= 2.0 * eps_slope:
+        return NEITHER
+    return INCONCLUSIVE
 
 
-def partial_sum_convergence(
-    f: CoeffSeq,
-    p: float,
-    alpha: float,
-    Ns,
-    radii: np.ndarray | None = None,
-) -> np.ndarray:
+def partial_sum_convergence(f: CoeffSeq, p: float, alpha: float, Ns) -> np.ndarray:
     """beta_sup of the partial-sum remainders f - S_N f over the given Ns."""
-    return np.array([beta_sup(zero_head(f, int(N)), p, alpha, radii) for N in Ns])
+    return np.array([beta_sup(zero_head(f, int(N)), p, alpha) for N in Ns])

@@ -63,7 +63,9 @@ from .errors import AlphaRange, ParamOrder, RadiusRange
 REFINEMENT_FLAG = 1e-6
 
 DEFAULT_RADIAL_NODES = 64
-DEFAULT_DYADIC_J = 14
+
+#: radii 1 - 2^-j, j = 1..DYADIC_J, of the growth-seminorm ladder
+DYADIC_J = 14
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,8 @@ def _abs_samples(block: np.ndarray, points: int, shift: float = 0.0) -> np.ndarr
     return out
 
 
-def dyadic_radii(J: int = DEFAULT_DYADIC_J) -> np.ndarray:
-    return 1.0 - 2.0 ** (-np.arange(1, J + 1, dtype=float))
+def dyadic_radii() -> np.ndarray:
+    return 1.0 - 2.0 ** (-np.arange(1, DYADIC_J + 1, dtype=float))
 
 
 def default_angular_points(degree: int) -> int:
@@ -223,24 +225,24 @@ def _mp_power_mean(f: CoeffSeq, r: float, p: float, M: int) -> float:
     return float(np.mean(np.abs(vals) ** p))
 
 
-def mean_mp(f: CoeffSeq, r: float, p: float, M: int | None = None) -> NormReport:
-    """Integral mean M_p(r, f) with a doubled-grid refinement estimate."""
+def mean_mp(f: CoeffSeq, r: float, p: float) -> NormReport:
+    """Integral mean M_p(r, f) on the default grid of f, with a doubled-grid
+    refinement estimate."""
     if not 0.0 < r <= 1.0:
         raise RadiusRange(f"r={r} must lie in (0, 1]")
     if p < 1:
         raise ValueError("p must be >= 1")
-    if M is None:
-        M = default_angular_points(f.degree)
+    M = default_angular_points(f.degree)
     return _refined(lambda m: _mp_power_mean(f, r, p, m) ** (1.0 / p), M, M, 1)
 
 
-def hp_norm(f: CoeffSeq, p: float, M: int | None = None) -> NormReport:
+def hp_norm(f: CoeffSeq, p: float) -> NormReport:
     """H^p norm of a polynomial.
 
     Integral means are nondecreasing in r, so the sup over r is attained
     at r = 1 and no radial extrapolation is needed.
     """
-    return mean_mp(f, 1.0, p, M)
+    return mean_mp(f, 1.0, p)
 
 
 #: bytes of complex samples one chunk of radial nodes may hold at a time;

@@ -47,12 +47,6 @@ class DiscreteMeasure:
         return float(np.sum(self.atoms_mass[self.atoms_t >= r]))
 
     @classmethod
-    def lebesgue_midpoint(cls, n_atoms: int = 1024) -> "DiscreteMeasure":
-        """Midpoint discretization of Lebesgue measure on [0, 1)."""
-        t = (np.arange(n_atoms) + 0.5) / n_atoms
-        return cls(t, np.full(n_atoms, 1.0 / n_atoms))
-
-    @classmethod
     def from_json(cls, text: str | dict) -> "DiscreteMeasure":
         """From JSON text or the object it parses to."""
         data = json.loads(text) if isinstance(text, str) else text
@@ -211,18 +205,30 @@ class SequenceSpec:
     def from_json(cls, text: str | dict) -> "SequenceSpec":
         """From JSON text or the object it parses to."""
         data = json.loads(text) if isinstance(text, str) else text
-        kind = data["kind"]
-        trunc = int(data["truncation"])
+        if not isinstance(data, dict):
+            raise MalformedSpec('a sequence spec is {"kind": ..., "truncation": ..., ...}')
+        kind, trunc = data["kind"], data["truncation"]
+        if not isinstance(trunc, int) or isinstance(trunc, bool):
+            raise MalformedSpec(f"truncation {trunc!r} is not an integer")
         if kind == "power_law":
-            return cls.power_law(float(data["c"]), float(data["s"]), trunc)
+            c, s = data["c"], data["s"]
+            if not (is_number(c) and is_number(s)):
+                raise MalformedSpec("power_law c and s must be numbers")
+            return cls.power_law(float(c), float(s), trunc)
         if kind == "cesaro":
             return cls.cesaro(trunc)
         if kind == "literal":
-            vals = [
-                complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-                for v in data["values"]
-            ]
-            return cls.literal(vals, trunc)
+            vals = data["values"]
+            if not isinstance(vals, list) or not all(
+                is_number(v)
+                or isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_number, v))
+                for v in vals
+            ):
+                raise MalformedSpec("literal values are numbers or [re, im] pairs")
+            return cls.literal(
+                [complex(*v) if isinstance(v, (list, tuple)) else complex(v) for v in vals],
+                trunc,
+            )
         if kind == "measure_moments":
             mu = DiscreteMeasure.from_json(data["measure"])
             return cls.measure_moments(mu, trunc)
@@ -450,16 +456,18 @@ def opnorm_h2(eta: SequenceSpec, N: int, seed: int = 0) -> OpNormEstimate:
 # --- lower bounds on H^p via candidate families --------------------------
 
 
-def _family_candidates(
-    eta: SequenceSpec, family: str, budget: int, seed: int
-) -> list[CoeffSeq]:
+#: candidates :func:`opnorm_lower_hp` tries
+_FAMILY_BUDGET = 64
+
+
+def _family_candidates(eta: SequenceSpec, family: str, seed: int) -> list[CoeffSeq]:
     T = eta.truncation
     cands: list[CoeffSeq] = []
     if family == "CoordinateDisks":
         # geometric kernels (1 - a z)^{-1} on a ladder accumulating at 1,
         # plus a few coordinate monomials
         n = np.arange(T + 1)
-        js = np.linspace(0.5, 14.0, max(2, budget - 4))
+        js = np.linspace(0.5, 14.0, _FAMILY_BUDGET - 4)
         for j in js:
             a = 1.0 - 2.0 ** (-j)
             cands.append(CoeffSeq((a**n).astype(complex)))
@@ -471,13 +479,13 @@ def _family_candidates(
         from .constructions import extremal_fn
 
         N = 4
-        while 40 * N <= T and len(cands) < budget:
+        while 40 * N <= T and len(cands) < _FAMILY_BUDGET:
             cands.append(extremal_fn(2.0, N, T))
             N *= 2
     elif family == "RandomPoly":
         rng = np.random.default_rng(seed)
         deg = min(256, T)
-        for _ in range(budget):
+        for _ in range(_FAMILY_BUDGET):
             c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             cands.append(CoeffSeq(c))
     else:
@@ -489,14 +497,13 @@ def opnorm_lower_hp(
     eta: SequenceSpec,
     p: float,
     family: str = "CoordinateDisks",
-    budget: int = 64,
     seed: int = 0,
 ) -> OpNormEstimate:
     """Certified lower bound: max over candidates of ||R f||_{H^p} / ||f||_{H^p}."""
     best_ratio = 0.0
     best_witness = None
     ev = eta.values()
-    for f in _family_candidates(eta, family, budget, seed):
+    for f in _family_candidates(eta, family, seed):
         denom = hp_norm(f, p).value
         if denom == 0.0:
             continue
@@ -510,7 +517,7 @@ def opnorm_lower_hp(
         lower=best_ratio,
         method="FamilySearch",
         witness=best_witness,
-        iterations=budget,
+        iterations=_FAMILY_BUDGET,
         residual=0.0,
     )
 

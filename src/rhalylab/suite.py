@@ -134,7 +134,7 @@ def criterion_2() -> CriterionResult:
     s = 1.2
     eta = SequenceSpec.power_law(1.0, s, TRUNC_PROFILE)
     prof = block_profile(generating_function(eta), 2.0, 0.5, 12)
-    verdict = classify_membership(prof)
+    member = classify_membership(prof)
     oracle = np.array(
         [
             math.sqrt(N * math.fsum((n + 1.0) ** (-2.0 * s) for n in range(N, 2 * N)))
@@ -147,7 +147,7 @@ def criterion_2() -> CriterionResult:
     )
     rate = 1.0 - s
     checks = [
-        _check("little_oh_class", verdict.space == "LittleLambda", verdict.space),
+        _check("little_oh_class", member == "LittleLambda", member),
         _check(
             "closed_form_oracle",
             gap < 1e-10,

@@ -193,11 +193,10 @@ def test_verdict_json_and_invariants():
 
 
 def test_embedding_check():
-    corpus = default_corpus(n_random=5)
+    corpus = default_corpus()[:10]
     eta = SequenceSpec.cesaro(4096)
-    out = dpp_embedding_check(eta, 2.0, q=2.0, corpus=corpus, tail_Ns=(64, 256))
+    out = dpp_embedding_check(eta, 2.0, corpus=corpus, tail_Ns=(64, 256))
     assert 0 < out["dirichlet_constant"] < 10
-    assert 0 < out["xqp_constant"] < 10
     assert out["tail_ratios"][1] < out["tail_ratios"][0]
     zero = SequenceSpec.literal(np.zeros(4097))
     out0 = dpp_embedding_check(zero, 2.0, corpus=corpus[:2], tail_Ns=(64,))
@@ -206,28 +205,24 @@ def test_embedding_check():
 
 def test_embedding_check_norms_and_applies_each_input_once(monkeypatch):
     from rhalylab import classifier, rhalyop
-    from rhalylab.norms import dirichlet_norm, hp_norm, xqp_norm
+    from rhalylab.norms import dirichlet_norm, hp_norm
 
     rng = np.random.default_rng(3)
     corpus = [CoeffSeq(rng.standard_normal(41) + 1j * rng.standard_normal(41))
               for _ in range(25)]
     eta = SequenceSpec.power_law(1.0, 1.5, 255)
-    p, q, tail_Ns = 1.5, 1.2, (4, 16, 64)
-    denoms = [hp_norm(f, p).value for f in corpus]
+    p, tail_Ns = 1.5, (4, 16, 64)
+    inputs = [hp_norm(f, p) for f in corpus]
+    images = [dirichlet_norm(apply_rhaly(eta, f), p, p - 1.0) for f in corpus]
+    tails = [[dirichlet_norm(TruncatedRhaly(eta, N).tail(f), p, p - 1.0) for f in corpus]
+             for N in tail_Ns]
+    denoms = [rep.value for rep in inputs]
     expected = {
-        "dirichlet_constant": max(
-            dirichlet_norm(apply_rhaly(eta, f), p, p - 1.0).value / d
-            for f, d in zip(corpus, denoms)
-        ),
+        "dirichlet_constant": max(rep.value / d for rep, d in zip(images, denoms)),
         "tail_Ns": list(tail_Ns),
-        "tail_ratios": [
-            max(dirichlet_norm(TruncatedRhaly(eta, N).tail(f), p, p - 1.0).value / d
-                for f, d in zip(corpus, denoms))
-            for N in tail_Ns
-        ],
-        "xqp_constant": max(
-            xqp_norm(apply_rhaly(eta, f), q, p).value / d
-            for f, d in zip(corpus, denoms)
+        "tail_ratios": [max(rep.value / d for rep, d in zip(row, denoms)) for row in tails],
+        "refinement_delta": max(
+            rep.refinement_delta for rep in [*inputs, *images, *sum(tails, [])]
         ),
     }
     calls = {"hp_norm": 0, "prefix_sums": 0}
@@ -243,7 +238,7 @@ def test_embedding_check_norms_and_applies_each_input_once(monkeypatch):
 
     counted(classifier, "hp_norm")
     counted(rhalyop, "prefix_sums")
-    out = dpp_embedding_check(eta, p, q=q, corpus=corpus, tail_Ns=tail_Ns)
+    out = dpp_embedding_check(eta, p, corpus=corpus, tail_Ns=tail_Ns)
     assert calls == {"hp_norm": 25, "prefix_sums": 25}
     assert out == expected
     with pytest.raises(TruncationMismatch):
@@ -251,6 +246,6 @@ def test_embedding_check_norms_and_applies_each_input_once(monkeypatch):
 
 
 def test_hardy_inequality_on_corpus():
-    for f in default_corpus(n_random=5):
+    for f in default_corpus()[:10]:
         s, bound = hardy_inequality_check(f)
         assert s <= bound + 1e-8

@@ -1,6 +1,8 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhalylab import cli
 
@@ -71,6 +75,145 @@ def test_seed_is_an_opnorm_option_only(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["classify", "--spec", "[1]", "--seed", "1"])
     assert exc.value.code == 2
+
+
+#: the flag set all subcommands once shared (suite without --p) and the
+#: per-subcommand extras; a subcommand refuses each one it does not read
+OLD_COMMON_FLAGS = ("--spec", "--p", "--alpha", "--q", "--trunc", "--out", "--grid-M",
+                    "--grid-J", "--eps-slope", "--eps-tail")
+OLD_EXTRA_FLAGS = {"norm": ("--space",), "classify": ("--space",), "opnorm": ("--seed",)}
+
+SPEC = '{"kind":"cesaro","truncation":255}'
+PROFILE = '{"knots_x":[0,2,4],"knots_y":[0,2,0]}'
+
+#: argvs that between them make each subcommand read every flag it takes
+READING_ARGVS = {
+    "norm": (
+        ["--spec", '{"kind":"cesaro"}', "--trunc", "63", "--space", "xqp", "--q", "1.5"],
+        ["--spec", SPEC, "--space", "bergman", "--alpha", "1", "--p", "1.5"],
+    ),
+    "profile": (["--spec", '{"kind":"cesaro"}', "--trunc", "255", "--p", "1.5",
+                 "--alpha", "0.5", "--grid-J", "6"],),
+    "classify": (["--spec", SPEC, "--space", "bergman", "--p", "2", "--alpha", "1",
+                  "--trunc", "127"],),
+    "opnorm": (["--spec", SPEC, "--p", "2", "--trunc", "16", "--seed", "3"],),
+    "counterexample": (["--p", "1.5", "--grid-J", "3"],),
+    "basis-check": (["--spec", PROFILE, "--trunc", "8"],),
+    "suite": ([],),
+}
+
+
+def _subparsers() -> dict:
+    action = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return action.choices
+
+
+def test_subparsers_hold_31_flags():
+    flags = [a for sp in _subparsers().values() for a in sp._actions
+             if a.option_strings and a.dest != "help"]
+    assert len(flags) == 31
+
+
+@pytest.mark.parametrize("command", sorted(READING_ARGVS))
+def test_subcommand_reads_every_flag_it_takes(command, tmp_path, monkeypatch, capsys):
+    """Each flag a subcommand takes is read by its handler, and each flag it
+    took before and does not read is refused as a usage error."""
+    from rhalylab import suite as suite_mod
+
+    monkeypatch.setattr(suite_mod, "run_suite", lambda: [])
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    parser = _subparsers()[command]
+    dests = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+    for argv in READING_ARGVS[command]:
+        args = cli._build_parser().parse_args([command, *argv, "--out", str(tmp_path)])
+        assert args.func(Recording(**vars(args))) in (0, 3)
+    capsys.readouterr()
+    assert read & dests == dests
+
+    taken = {o for a in parser._actions for o in a.option_strings}
+    old = (*OLD_COMMON_FLAGS, *OLD_EXTRA_FLAGS.get(command, ()))
+    spec = ["--spec", PROFILE if command == "basis-check" else SPEC] if "--spec" in taken else []
+    for flag in set(old) - taken:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *spec, flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_run_config_of_verdict_requests(capsys):
+    """The run_config of each command shape the verdicts benchmark sends."""
+    spec = '{"kind":"cesaro","truncation":511}'
+    expected = [
+        (["classify", "--space", "hardy", "--p", "1.5"],
+         {"command": "classify", "p": 1.5, "space": "hardy"}),
+        (["classify", "--space", "hardy", "--p", "2"],
+         {"command": "classify", "p": 2.0, "space": "hardy"}),
+        (["classify", "--space", "hardy", "--p", "3"],
+         {"command": "classify", "p": 3.0, "space": "hardy"}),
+        (["classify", "--space", "bergman", "--p", "2", "--alpha", "0"],
+         {"alpha": 0.0, "command": "classify", "p": 2.0, "space": "bergman"}),
+        (["classify", "--space", "bergman", "--p", "2", "--alpha", "1"],
+         {"alpha": 1.0, "command": "classify", "p": 2.0, "space": "bergman"}),
+        (["profile", "--p", "1.5"],
+         {"K": 8, "alpha": 1.0 / 1.5, "command": "profile", "p": 1.5}),
+    ]
+    for argv, config in expected:
+        code, out, _ = run_cli(capsys, *argv, "--spec", spec)
+        assert code == 0
+        assert json.loads(out)["run_config"] == config
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--spec", "5"],
+    ["norm", "--spec", "[{}]"],
+    ["classify", "--spec", '{"kind":"power_law","c":1,"s":[1],"truncation":10}'],
+    ["norm", "--spec", '{"kind":"literal","truncation":3,"values":[[1]]}'],
+    ["basis-check", "--spec", "5"],
+    ["basis-check", "--spec", "[1,2]"],
+    ["basis-check", "--spec", '{"knots_x":[{}],"knots_y":[0]}'],
+])
+def test_malformed_spec_shapes_exit_2(argv, capsys):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error [rhalylab.errors.MalformedSpec]")
+
+
+SPEC_KEYS = ("kind", "truncation", "c", "s", "values", "measure", "atoms", "t", "mass",
+             "base", "signs", "coeffs", "knots_x", "knots_y")
+SPEC_KINDS = ("literal", "power_law", "cesaro", "measure_moments", "signed")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 40) | st.floats(-10, 10)
+    | st.sampled_from(SPEC_KINDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SPEC_KEYS), inner, max_size=5),
+    max_leaves=12,
+)
+# specs with a kind and a truncation, so the fields behind them get exercised
+near_specs = st.builds(
+    lambda kind, trunc, rest: {**rest, "kind": kind, "truncation": trunc},
+    st.sampled_from(SPEC_KINDS),
+    st.integers(-4, 40),
+    st.dictionaries(st.sampled_from(SPEC_KEYS), json_values, max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("norm", "profile", "classify", "opnorm", "basis-check")),
+       json_values | near_specs)
+def test_any_json_spec_ends_in_a_documented_exit_code(command, value):
+    """Whatever JSON arrives as --spec, the CLI answers, refuses it as an
+    input error or reports non-convergence; it never ends in a traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        # --spec=VALUE: argparse would take a separate value such as -2e-311
+        # for an option
+        code = cli.main([command, f"--spec={json.dumps(value)}"])
+    assert code in (0, 2, 3)
 
 
 def test_bad_input_exits_2(capsys):

@@ -13,7 +13,6 @@ from rhalylab.coeffcore import (
     hadamard,
     partial_sum,
     prefix_sums,
-    slice_coeffs,
     zero_head,
 )
 from rhalylab.errors import IndexOrder, OversamplingViolation
@@ -143,30 +142,31 @@ def test_oversampling_guard():
 
 
 def test_slice_keeps_indices_in_place():
+    # S_N f keeps coefficients 0..N at their indices and the degree of f
     f = CoeffSeq(np.arange(1.0, 7.0))
-    s = slice_coeffs(f, 2, 4)
-    assert np.allclose(s.coeffs, [0, 0, 3, 4, 5, 0])
+    s = partial_sum(f, 4)
+    assert np.allclose(s.coeffs, [1, 2, 3, 4, 5, 0])
     assert s.degree == f.degree
+    assert not s.coeffs.flags.writeable
 
 
 def test_slice_past_degree_reads_zero():
     f = CoeffSeq(np.arange(1.0, 4.0))
-    s = slice_coeffs(f, 2, 10)
-    assert np.allclose(s.coeffs, [0, 0, 3])
+    s = partial_sum(f, 10)
+    assert s == f
 
 
 def test_slice_order_errors():
     f = CoeffSeq(np.ones(5))
     with pytest.raises(IndexOrder):
-        slice_coeffs(f, 3, 2)
-    with pytest.raises(IndexOrder):
-        slice_coeffs(f, -1, 2)
+        partial_sum(f, -1)
 
 
 def test_block_and_partial_sum():
     f = CoeffSeq(np.arange(1.0, 9.0))
-    b = slice_coeffs(f, 2, 3)  # the dyadic block N=2
-    assert np.allclose(b.coeffs, [0, 0, 3, 4, 0, 0, 0, 0])
+    # the dyadic block N=2 is S_3 f - S_1 f
+    b = partial_sum(f, 3).coeffs - partial_sum(f, 1).coeffs
+    assert np.allclose(b, [0, 0, 3, 4, 0, 0, 0, 0])
     s = partial_sum(f, 3)
     assert np.allclose(s.coeffs, [1, 2, 3, 4, 0, 0, 0, 0])
 

@@ -8,6 +8,10 @@ import pytest
 
 from rhalylab.coeffcore import CoeffSeq, evaluate_on_circle, CircleGrid, hadamard
 from rhalylab.constructions import (
+    KHINCHINE_EXACT_LIMIT,
+    KHINCHINE_MC_BUDGET,
+    KHINCHINE_ROTATIONS,
+    KHINCHINE_SEED,
     PolygonalProfile,
     _all_sign_vectors,
     _sign_chunks,
@@ -216,28 +220,31 @@ def test_khinchine_report_matches_per_rotation_loop(L):
     """One batched product equals a loop over the rotations, exact and Monte Carlo."""
     rng = np.random.default_rng(L)
     c = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    rng = np.random.default_rng(KHINCHINE_SEED)
+    mc_signs = 2 * rng.integers(0, 2, size=(KHINCHINE_MC_BUDGET, L)) - 1
     for p in (1.5, 4.0):
-        rep = khinchine_report(c, p, exact_limit=16, mc_budget=3000, seed=5)
-        assert rep.exact == (L <= 16)
+        rep = khinchine_report(c, p)
+        assert rep.exact == (L <= KHINCHINE_EXACT_LIMIT)
         ratios = []
-        for j in range(16):
-            rotated = c * np.exp(1j * np.arange(L) * (2.0 * np.pi * j / 16))
+        for j in range(KHINCHINE_ROTATIONS):
+            theta = 2.0 * np.pi * j / KHINCHINE_ROTATIONS
+            rotated = c * np.exp(1j * np.arange(L) * theta)
             if rep.exact:
                 idx = np.arange(2**L)[:, None] >> np.arange(L)
                 signs = 2 * (idx & 1) - 1
             else:
-                signs = 2 * np.random.default_rng(5).integers(0, 2, size=(3000, L)) - 1
+                signs = mc_signs
             moment = np.mean(np.abs(signs @ rotated) ** p)
             ratios.append(moment / np.sum(np.abs(rotated) ** 2) ** (p / 2))
         assert abs(rep.lower_const - min(ratios)) <= 1e-13 * min(ratios)
         assert abs(rep.upper_const - max(ratios)) <= 1e-13 * max(ratios)
-        ratio, exact = khinchine_ratio(c, p, exact_limit=16, mc_budget=3000, seed=5)
+        ratio, exact = khinchine_ratio(c, p)
         assert exact == rep.exact
         assert abs(ratio - ratios[0]) <= 1e-13 * ratios[0]
 
 
 def test_khinchine_monte_carlo_mode():
-    rep = khinchine_report(np.ones(30), 2.0, mc_budget=5000, seed=3)
+    rep = khinchine_report(np.ones(30), 2.0)
     assert not rep.exact
     assert abs(rep.lower_const - 1.0) < 0.1
 
@@ -267,9 +274,9 @@ def test_exact_khinchine_sign_table_memory():
 
 @pytest.mark.parametrize("length, rows", [(32, 1000), (33, 4097), (256, 4096)])
 def test_monte_carlo_signs_equal_one_draw(length, rows):
-    budget = 9000
-    got = np.concatenate(list(_sign_chunks(length, rows, 20, budget, 5)))
-    want = 2 * np.random.default_rng(5).integers(0, 2, size=(budget, length)) - 1
+    got = np.concatenate(list(_sign_chunks(length, rows)))
+    rng = np.random.default_rng(KHINCHINE_SEED)
+    want = 2 * rng.integers(0, 2, size=(KHINCHINE_MC_BUDGET, length)) - 1
     assert got.dtype == np.int8
     assert np.array_equal(got, want)
 

@@ -28,7 +28,7 @@ def test_constant_has_empty_blocks():
     f = CoeffSeq(np.array([1.0] + [0.0] * 200, dtype=complex))
     prof = block_profile(f, 2.0, 0.5, 6)
     assert np.all(prof.scaled_norms == 0.0)
-    assert classify_membership(prof).space == LITTLE_LAMBDA
+    assert classify_membership(prof) == LITTLE_LAMBDA
 
 
 def test_log_series_profile_is_flat():
@@ -41,8 +41,7 @@ def test_log_series_profile_is_flat():
         if N >= 64:
             # preasymptotic entries start higher (0.85 at N=2)
             assert 0.70 <= s <= 0.72
-    v = classify_membership(prof)
-    assert v.space == BIG_LAMBDA
+    assert classify_membership(prof) == BIG_LAMBDA
 
 
 def test_sqrt_decay_profile_grows():
@@ -50,13 +49,13 @@ def test_sqrt_decay_profile_grows():
     prof = block_profile(f, 2.0, 0.5, 12)
     # scaled^2 = N * sum 1/n over the block ~ N log 2
     assert abs(prof.slope - 0.5) < 0.02
-    assert classify_membership(prof).space == NEITHER
+    assert classify_membership(prof) == NEITHER
 
 
 def test_fast_decay_is_little_oh():
     f = power_series(1.5, 8191)
     prof = block_profile(f, 2.0, 0.5, 12)
-    assert classify_membership(prof).space == LITTLE_LAMBDA
+    assert classify_membership(prof) == LITTLE_LAMBDA
 
 
 def test_strict_degree_guard():
@@ -149,5 +148,5 @@ def test_nesting_across_exponents():
     for q, p in ((1.5, 2.0), (2.0, 3.0)):
         vq = classify_membership(block_profile(f, q, 1.0 / q, 11))
         vp = classify_membership(block_profile(f, p, 1.0 / p, 11))
-        assert vq.space == BIG_LAMBDA
-        assert vp.space == BIG_LAMBDA
+        assert vq == BIG_LAMBDA
+        assert vp == BIG_LAMBDA
