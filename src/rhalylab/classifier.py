@@ -1,19 +1,20 @@
 """Verdict engine: boundedness and compactness decisions for the averaging
 operator on Hardy and Bergman spaces.
 
-Each decision routes through the mean-Lipschitz membership of the generating
-function F(z) = sum eta_n z^n, or through the exact monotone-weight rule
-when the spec certifies a nonnegative decreasing sequence. Verdicts carry
-their numeric evidence and the tag of the result they instantiate; the
-open region for p > 2 and the one-sided p = 1 conditions surface as
-Inconclusive rather than being forced to a side, and so does a block
-profile that stays unresolved on its finest grid. Each verdict realizes F
-once and samples its blocks once, for every exponent it needs.
+The Hardy and Bergman verdicts route through the mean-Lipschitz membership
+of the generating function F(z) = sum eta_n z^n, whatever the spec. The
+exact rule for certified nonnegative decreasing weights is a verdict of its
+own (:func:`decreasing_rule`), which only the suite's criterion 8 asks for;
+:func:`classify_hardy` does not consult it. Verdicts carry their numeric
+evidence and the tag of the result they instantiate; the open region for
+p > 2 and the one-sided p = 1 conditions surface as Inconclusive rather
+than being forced to a side, and so does a block profile that stays
+unresolved on its finest grid. Each verdict realizes F once and samples its
+blocks once, for every exponent it needs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,16 +81,14 @@ class Verdict:
             d.get("refinement_delta", 0.0) > REFINEMENT_FLAG for _, d in self.evidence
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "conclusion": self.conclusion,
-                "conclusions": list(self.conclusions),
-                "theorem": self.theorem,
-                "space": self.space,
-                "evidence": [{"name": n, **d} for n, d in self.evidence],
-            }
-        )
+    def to_json(self) -> dict:
+        return {
+            "conclusion": self.conclusion,
+            "conclusions": list(self.conclusions),
+            "theorem": self.theorem,
+            "space": self.space,
+            "evidence": [{"name": n, **d} for n, d in self.evidence],
+        }
 
 
 def _profile_evidence(name: str, profile) -> tuple:
@@ -221,7 +220,7 @@ def h1_necessary(eta: SequenceSpec, Ns) -> Verdict:
     )
     trend_a = fit_tail_slope(Ns.astype(float), ratio_a)
     trend_b = fit_tail_slope(Ns.astype(float), ratio_b)
-    rel_c = abs(norms_c[-1] - norms_c[-2]) / max(norms_c[-1], np.finfo(float).tiny)
+    rel_c = float(abs(norms_c[-1] - norms_c[-2]) / max(norms_c[-1], np.finfo(float).tiny))
     evidence = (
         ("weighted_sum_ratio", {"Ns": Ns.tolist(), "values": ratio_a.tolist(),
                                 "trend": trend_a}),

@@ -72,21 +72,15 @@ def _load_series(text: str, trunc: int | None) -> tuple[CoeffSeq, dict]:
         raise MalformedSpec("expected a coefficient list, a series or a sequence spec")
     if "coeffs" in data:
         return CoeffSeq.from_json(data), {"input": "coeffs"}
-    spec = _load_spec_dict(data, trunc)
+    spec = _load_spec(data, trunc)
     return generating_function(spec), {"input": "sequence_spec", "spec": data}
 
 
-def _load_spec_dict(data: dict, trunc: int | None) -> SequenceSpec:
-    if trunc is not None and "truncation" not in data:
-        data = dict(data, truncation=trunc)
+def _load_spec(data, trunc: int | None) -> SequenceSpec:
+    """A sequence spec from parsed JSON; --trunc stands in for a missing truncation."""
+    if trunc is not None and isinstance(data, dict):
+        data = {"truncation": trunc, **data}
     return SequenceSpec.from_json(data)
-
-
-def _load_spec(text: str, trunc: int | None) -> SequenceSpec:
-    data = _read_json_arg(text)
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError("expected a sequence spec object with a 'kind' field")
-    return _load_spec_dict(data, trunc)
 
 
 def _emit(payload: dict, config: dict, out: str | None, stem: str) -> None:
@@ -134,7 +128,7 @@ def cmd_norm(args) -> int:
         rep = xqp_norm(f, args.q, args.p)
     else:
         raise ValueError(f"unknown space {args.space!r}")
-    _emit({"norm": json.loads(rep.to_json()), **meta}, _config(args), args.out, "norm")
+    _emit({"norm": rep.to_json(), **meta}, _config(args), args.out, "norm")
     return EXIT_OK
 
 
@@ -146,7 +140,7 @@ def cmd_profile(args) -> int:
     _write_csv(args.out, "profile", prof.to_csv())
     _emit(
         {
-            "profile": json.loads(prof.sidecar_json(classify_membership(prof))),
+            "profile": prof.sidecar_json(classify_membership(prof)),
             "entries": [[N, s] for N, s in prof.entries],
             **meta,
         },
@@ -158,23 +152,30 @@ def cmd_profile(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    spec = _load_spec(args.spec, args.trunc)
+    spec = _load_spec(_read_json_arg(args.spec), args.trunc)
     if args.space == "bergman":
         verdict = classify_bergman(spec, args.p, args.alpha if args.alpha is not None else 0.0)
     else:
         verdict = classify_hardy(spec, args.p)
-    _emit({"verdict": json.loads(verdict.to_json())}, _config(args), args.out, "verdict")
+    _emit({"verdict": verdict.to_json()}, _config(args), args.out, "verdict")
     return EXIT_NO_CONVERGENCE if verdict.unresolved else EXIT_OK
 
 
 def cmd_opnorm(args) -> int:
-    spec = _load_spec(args.spec, args.trunc)
-    N = args.trunc if args.trunc is not None else spec.truncation + 1
+    """The l2 section norm at p = 2; at other p a lower bound from a
+    deterministic candidate family, which reads neither a seed nor N."""
+    spec = _load_spec(_read_json_arg(args.spec), args.trunc)
     if args.p == 2.0:
-        est = opnorm_h2(spec, N, seed=args.seed)
+        N = args.trunc if args.trunc is not None else spec.truncation + 1
+        seed = args.seed if args.seed is not None else 0
+        est = opnorm_h2(spec, N, seed=seed)
+        config = _config(args, N=N, seed=seed)
+    elif args.seed is not None:
+        raise ValueError("--seed is read only at --p 2")
     else:
-        est = opnorm_lower_hp(spec, args.p, seed=args.seed)
-    _emit({"estimate": json.loads(est.to_json())}, _config(args, N=N), args.out, "opnorm")
+        est = opnorm_lower_hp(spec, args.p)
+        config = _config(args)
+    _emit({"estimate": est.to_json()}, config, args.out, "opnorm")
     return EXIT_OK if est.converged else EXIT_NO_CONVERGENCE
 
 
@@ -186,8 +187,8 @@ def cmd_counterexample(args) -> int:
     _write_csv(args.out, "counterexample_blocks", "\n".join(csv_lines) + "\n")
     _emit(
         {
-            "sequence_spec": json.loads(result.sequence_spec().to_json()),
-            "result": json.loads(result.to_json()),
+            "sequence_spec": result.sequence_spec().to_json(),
+            "result": result.to_json(),
         },
         _config(args, K=K),
         args.out,
@@ -251,7 +252,7 @@ _FLAGS = {
     "trunc": dict(type=int),
     "out": dict(),
     "grid-J": dict(dest="grid_J", type=int),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=int),
 }
 
 #: (name, handler, help, flags read, --space choices); the first choice is
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RhalyError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (RhalyError, ValueError, KeyError) as exc:
         print(f"error [{type(exc).__module__}.{type(exc).__name__}]: {exc}",
               file=sys.stderr)
         return EXIT_INPUT

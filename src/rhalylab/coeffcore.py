@@ -17,7 +17,6 @@ chunks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +62,11 @@ class CoeffSeq:
             np.array_equal(self.coeffs, other.coeffs)
         )
 
-    def to_json(self) -> str:
-        pairs = [[float(c.real), float(c.imag)] for c in self.coeffs]
-        return json.dumps({"coeffs": pairs})
+    def to_json(self) -> dict:
+        return {"coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs]}
 
     @classmethod
-    def from_json(cls, text: str | dict) -> "CoeffSeq":
-        """From JSON text or the object it parses to."""
-        data = json.loads(text) if isinstance(text, str) else text
+    def from_json(cls, data: dict) -> "CoeffSeq":
         pairs = data.get("coeffs") if isinstance(data, dict) else None
         if not isinstance(pairs, list) or not all(
             isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_number, v)) for v in pairs

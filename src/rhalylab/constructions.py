@@ -10,7 +10,6 @@ derivative blocks carry Rudin-Shapiro signs, so that each block's H^p norm,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,19 +24,15 @@ GEOMETRIC_TAIL_TOL = 1e-10
 # --- the f_N family and its block averages -------------------------------
 
 
-def default_truncation(N: int) -> int:
-    """Truncation at which the geometric tail of f_N is negligible."""
-    return 40 * N
+def extremal_fn(p: float, N: int) -> CoeffSeq:
+    """f_N: coefficient n is n (1-1/N)^n / N^{2-1/p}; concentrated near n=N.
 
-
-def extremal_fn(p: float, N: int, truncation: int | None = None) -> CoeffSeq:
-    """f_N: coefficient n is n (1-1/N)^n / N^{2-1/p}; concentrated near n=N."""
+    Truncated at degree 40N, where the geometric tail is negligible for
+    N <= 5431; past that the tail guard raises TruncationTooSmall.
+    """
     if N < 2:
         raise ValueError("N must be >= 2")
-    if truncation is None:
-        truncation = default_truncation(N)
-    if truncation < 8 * N:
-        raise TruncationTooSmall(f"truncation {truncation} < 8N = {8 * N}")
+    truncation = 40 * N
     aN = 1.0 - 1.0 / N
     n = np.arange(truncation + 1, dtype=float)
     coeffs = n * aN**n / N ** (2.0 - 1.0 / p)
@@ -93,9 +88,6 @@ class PolygonalProfile:
     def __call__(self, x) -> np.ndarray:
         # endpoints are zero, so clamping extends by zero
         return np.interp(x, self.knots_x, self.knots_y)
-
-    def scaled(self, factor: float) -> "PolygonalProfile":
-        return PolygonalProfile(self.knots_x, factor * self.knots_y)
 
     @classmethod
     def tent(cls) -> "PolygonalProfile":
@@ -189,8 +181,6 @@ KHINCHINE_ROTATIONS = 16
 
 @dataclass(frozen=True)
 class RademacherReport:
-    m: int
-    p: float
     lower_const: float
     upper_const: float
     exact: bool
@@ -275,8 +265,6 @@ def khinchine_report(c, p: float) -> RademacherReport:
     C = c[:, None] * np.exp(1j * np.arange(len(c))[:, None] * thetas[None, :])
     ratios, exact = _sign_moments(C, p)
     return RademacherReport(
-        m=len(c) - 1,
-        p=p,
         lower_const=float(ratios.min()),
         upper_const=float(ratios.max()),
         exact=exact,
@@ -296,22 +284,15 @@ class UpsilonResult:
     def sequence_spec(self) -> SequenceSpec:
         """The weight sequence with |eta_n| = 1/n realized by this series."""
         base = SequenceSpec.literal(np.abs(self.seq.coeffs))
-        flat = [1]
-        for s in self.signs:
-            flat.extend(s)
-        flat = flat[: base.truncation + 1]
-        while len(flat) < base.truncation + 1:
-            flat.append(1)
-        return SequenceSpec.signed(base, flat)
+        # 1 + sum_{k<K} 2^k = 2^K signs, one per coefficient
+        return SequenceSpec.signed(base, [1, *(s for block in self.signs for s in block)])
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "achieved": list(self.achieved),
-                "signs": [list(s) for s in self.signs],
-            }
-        )
+    def to_json(self) -> dict:
+        return {
+            "p": self.p,
+            "achieved": list(self.achieved),
+            "signs": [list(s) for s in self.signs],
+        }
 
 
 def construct_upsilon(

@@ -23,7 +23,6 @@ remainders f - S_N f of a member have :func:`norms.beta_sup` tending to 0
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,7 @@ class BlockProfile:
             buf.write(f"{N},{s!r}\n")
         return buf.getvalue()
 
-    def sidecar_json(self, verdict: str | None = None) -> str:
+    def sidecar_json(self, verdict: str | None = None) -> dict:
         data = {
             "slope": self.slope,
             "tail_ratio": self.tail_ratio,
@@ -74,7 +73,7 @@ class BlockProfile:
         }
         if verdict is not None:
             data["verdict"] = verdict
-        return json.dumps(data)
+        return data
 
 
 def fit_tail_slope(xs: np.ndarray, ys: np.ndarray) -> float:

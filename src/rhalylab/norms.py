@@ -51,7 +51,6 @@ delta is reported with the values.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,15 +78,13 @@ class NormReport:
     def flagged(self) -> bool:
         return self.refinement_delta > REFINEMENT_FLAG
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "grid_points": self.grid_points,
-                "radial_nodes": self.radial_nodes,
-                "refinement_delta": self.refinement_delta,
-            }
-        )
+    def to_json(self) -> dict:
+        return {
+            "value": self.value,
+            "grid_points": self.grid_points,
+            "radial_nodes": self.radial_nodes,
+            "refinement_delta": self.refinement_delta,
+        }
 
 
 @functools.lru_cache(maxsize=128)

@@ -9,7 +9,6 @@ sections.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -47,9 +46,7 @@ class DiscreteMeasure:
         return float(np.sum(self.atoms_mass[self.atoms_t >= r]))
 
     @classmethod
-    def from_json(cls, text: str | dict) -> "DiscreteMeasure":
-        """From JSON text or the object it parses to."""
-        data = json.loads(text) if isinstance(text, str) else text
+    def from_json(cls, data: dict) -> "DiscreteMeasure":
         atoms = data.get("atoms") if isinstance(data, dict) else None
         if not isinstance(atoms, list) or not all(
             isinstance(a, dict) and is_number(a.get("t")) and is_number(a.get("mass"))
@@ -60,15 +57,13 @@ class DiscreteMeasure:
             np.array([a["t"] for a in atoms]), np.array([a["mass"] for a in atoms])
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "atoms": [
-                    {"t": float(t), "mass": float(m)}
-                    for t, m in zip(self.atoms_t, self.atoms_mass)
-                ]
-            }
-        )
+    def to_json(self) -> dict:
+        return {
+            "atoms": [
+                {"t": float(t), "mass": float(m)}
+                for t, m in zip(self.atoms_t, self.atoms_mass)
+            ]
+        }
 
 
 @dataclass(frozen=True)
@@ -188,24 +183,22 @@ class SequenceSpec:
 
     # --- serialization ------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_json(self) -> dict:
         data: dict = {"kind": self.kind, "truncation": self.truncation}
         if self.kind == "power_law":
             data.update(c=self.c, s=self.s)
         elif self.kind == "literal":
             data["values"] = [[v.real, v.imag] for v in self.values_list]
         elif self.kind == "measure_moments":
-            data["measure"] = json.loads(self.measure.to_json())
+            data["measure"] = self.measure.to_json()
         elif self.kind == "signed":
-            data["base"] = json.loads(self.base.to_json())
+            data["base"] = self.base.to_json()
             data["signs"] = np.frombuffer(self.signs, dtype=np.int8).tolist()
-        return json.dumps(data)
+        return data
 
     @classmethod
-    def from_json(cls, text: str | dict) -> "SequenceSpec":
-        """From JSON text or the object it parses to."""
-        data = json.loads(text) if isinstance(text, str) else text
-        if not isinstance(data, dict):
+    def from_json(cls, data: dict) -> "SequenceSpec":
+        if not isinstance(data, dict) or "kind" not in data or "truncation" not in data:
             raise MalformedSpec('a sequence spec is {"kind": ..., "truncation": ..., ...}')
         kind, trunc = data["kind"], data["truncation"]
         if not isinstance(trunc, int) or isinstance(trunc, bool):
@@ -234,6 +227,10 @@ class SequenceSpec:
             return cls.measure_moments(mu, trunc)
         if kind == "signed":
             base = cls.from_json(data["base"])
+            if base.truncation != trunc:
+                raise MalformedSpec(
+                    f"signed truncation {trunc} differs from its base's {base.truncation}"
+                )
             return cls.signed(base, data["signs"])
         raise ValueError(f"unknown sequence kind {kind!r}")
 
@@ -284,17 +281,15 @@ class OpNormEstimate:
     residual: float
     converged: bool = True
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lower": self.lower,
-                "method": self.method,
-                "iterations": self.iterations,
-                "residual": self.residual,
-                "converged": self.converged,
-                "witness": json.loads(self.witness.to_json()),
-            }
-        )
+    def to_json(self) -> dict:
+        return {
+            "lower": self.lower,
+            "method": self.method,
+            "iterations": self.iterations,
+            "residual": self.residual,
+            "converged": self.converged,
+            "witness": self.witness.to_json(),
+        }
 
 
 # --- operator application ---------------------------------------------
@@ -475,13 +470,6 @@ def _family_candidates(eta: SequenceSpec, family: str, seed: int) -> list[CoeffS
             e = np.zeros(T + 1, dtype=complex)
             e[k] = 1.0
             cands.append(CoeffSeq(e))
-    elif family == "ExtremalFN":
-        from .constructions import extremal_fn
-
-        N = 4
-        while 40 * N <= T and len(cands) < _FAMILY_BUDGET:
-            cands.append(extremal_fn(2.0, N, T))
-            N *= 2
     elif family == "RandomPoly":
         rng = np.random.default_rng(seed)
         deg = min(256, T)

@@ -57,7 +57,7 @@ class CriterionResult:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> dict:
         return {
             "number": self.number,
             "name": self.name,
@@ -482,10 +482,10 @@ def _mini_report() -> bytes:
     est = opnorm_h2(eta, 64)
     prof = block_profile(generating_function(eta), 2.0, 0.5, 9)
     payload = {
-        "verdict": json.loads(v.to_json()),
-        "opnorm": json.loads(est.to_json()),
+        "verdict": v.to_json(),
+        "opnorm": est.to_json(),
         "profile_csv": prof.to_csv(),
-        "profile_meta": json.loads(prof.sidecar_json()),
+        "profile_meta": prof.sidecar_json(),
     }
     return json.dumps(payload, sort_keys=True).encode()
 
@@ -525,7 +525,7 @@ def run_suite() -> list[CriterionResult]:
 def render_report(results: list[CriterionResult]) -> str:
     """Deterministic JSON report (no timestamps, no machine identifiers)."""
     return json.dumps(
-        {"criteria": [r.to_dict() for r in results],
+        {"criteria": [r.to_json() for r in results],
          "passed": all(r.passed for r in results)},
         sort_keys=True,
         indent=2,

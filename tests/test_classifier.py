@@ -1,7 +1,5 @@
 """Verdict engine tests."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -184,7 +182,7 @@ def test_h1_flags_upsilon(upsilon_spec):
 
 def test_verdict_json_and_invariants():
     v = classify_hardy(SequenceSpec.cesaro(TRUNC), 2.0)
-    data = json.loads(v.to_json())
+    data = v.to_json()
     assert data["conclusion"] == "Bounded"
     assert data["theorem"] == "Thm1a"
     assert len(data["evidence"]) >= 1

@@ -77,6 +77,21 @@ def test_seed_is_an_opnorm_option_only(capsys):
     assert exc.value.code == 2
 
 
+def test_opnorm_records_seed_and_N_only_at_p2(capsys):
+    """The H^p lower bound reads neither a seed nor N, so it records neither
+    and refuses --seed; the section norm records both, seed 0 by default."""
+    spec = '{"kind":"cesaro","truncation":63}'
+    code, out, _ = run_cli(capsys, "opnorm", "--spec", spec, "--p", "1.5")
+    assert code == 0
+    assert json.loads(out)["run_config"] == {"command": "opnorm", "p": 1.5}
+    code, out, err = run_cli(capsys, "opnorm", "--spec", spec, "--p", "1.5", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert "--seed" in err
+    code, out, _ = run_cli(capsys, "opnorm", "--spec", spec, "--p", "2")
+    assert code == 0
+    assert json.loads(out)["run_config"] == {"command": "opnorm", "p": 2.0, "N": 64, "seed": 0}
+
+
 #: the flag set all subcommands once shared (suite without --p) and the
 #: per-subcommand extras; a subcommand refuses each one it does not read
 OLD_COMMON_FLAGS = ("--spec", "--p", "--alpha", "--q", "--trunc", "--out", "--grid-M",
@@ -177,6 +192,10 @@ def test_run_config_of_verdict_requests(capsys):
     ["basis-check", "--spec", "5"],
     ["basis-check", "--spec", "[1,2]"],
     ["basis-check", "--spec", '{"knots_x":[{}],"knots_y":[0]}'],
+    ["norm", "--spec", '{"kind":"signed","truncation":3,"base":{"kind":"cesaro","truncation":5},'
+                       '"signs":[1,1,1,1,1,1]}'],
+    ["classify", "--spec", '{"truncation":63}'],
+    ["opnorm", "--spec", '{"kind":"cesaro"}'],
 ])
 def test_malformed_spec_shapes_exit_2(argv, capsys):
     code, _, err = run_cli(capsys, *argv)
@@ -385,7 +404,7 @@ def test_suite_exit_codes(monkeypatch, capsys):
             self.name = "stub"
             self.passed = passed
 
-        def to_dict(self):
+        def to_json(self):
             return {"number": self.number, "name": self.name,
                     "passed": self.passed, "checks": []}
 

@@ -1,7 +1,5 @@
 """Coefficient container and algebra tests."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -70,7 +68,7 @@ def test_json_roundtrip():
     f = CoeffSeq(np.array([1.0 + 2.0j, -0.5]))
     g = CoeffSeq.from_json(f.to_json())
     assert f == g
-    data = json.loads(f.to_json())
+    data = f.to_json()
     assert data["coeffs"][0] == [1.0, 2.0]
 
 

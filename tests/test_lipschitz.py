@@ -135,9 +135,8 @@ def test_profile_csv_and_sidecar():
     csv = prof.to_csv()
     assert csv.splitlines()[0] == "N,scaled_norm"
     assert len(csv.splitlines()) == 7
-    import json
 
-    side = json.loads(prof.sidecar_json("BigLambda"))
+    side = prof.sidecar_json("BigLambda")
     assert side["verdict"] == "BigLambda"
     assert "slope" in side and "tail_ratio" in side
 

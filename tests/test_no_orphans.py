@@ -5,7 +5,9 @@ caller outside the tests.
 
 A name counts as used when it appears outside its own definition in any
 scanned module: as a name, an attribute, an imported name or a string
-constant (the bench tracer names the functions it wraps by string).
+constant (the bench tracer names the functions it wraps by string). A
+method counts as used only through an attribute or a string constant, since
+a bare name of the same spelling is a local variable or another function.
 """
 
 import ast
@@ -21,15 +23,16 @@ SCANNED = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 ALLOWED = {"phi_psi_n", "carleson_check"}
 
 
-def _uses(node: ast.AST) -> Counter:
-    """How often each name is referenced under node."""
+def _uses(node: ast.AST, method: bool) -> Counter:
+    """How often each name is referenced under node, counting only
+    attributes and string constants when the name is a method's."""
     used = Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and not method:
             used[n.id] += 1
         elif isinstance(n, ast.Attribute):
             used[n.attr] += 1
-        elif isinstance(n, ast.alias):
+        elif isinstance(n, ast.alias) and not method:
             used[n.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             used[n.value] += 1
@@ -37,28 +40,31 @@ def _uses(node: ast.AST) -> Counter:
 
 
 def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the methods of top-level classes
-    other than dunders."""
+    """(node, is_method) for the top-level functions and classes, and the
+    methods of top-level classes other than dunders."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
             yield from (
-                m for m in node.body
+                (m, True) for m in node.body
                 if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
             )
 
 
 def test_every_top_level_name_has_a_consumer():
     trees = {path: ast.parse(path.read_text()) for path in SCANNED}
-    total = sum((_uses(tree) for tree in trees.values()), Counter())
+    total = {
+        method: sum((_uses(tree, method) for tree in trees.values()), Counter())
+        for method in (False, True)
+    }
     orphans = [
         f"{path.relative_to(ROOT)}:{node.name}"
         for path, tree in trees.items()
-        for node in _definitions(tree)
+        for node, method in _definitions(tree)
         if node.name not in ALLOWED
         # uses inside the definition itself, such as recursion, do not count
-        and total[node.name] == _uses(node)[node.name]
+        and total[method][node.name] == _uses(node, method)[node.name]
     ]
     assert not orphans, f"top-level names with no consumer: {orphans}"
 

@@ -198,9 +198,7 @@ def test_refinement_delta_clean_at_default_grids():
 
 def test_norm_report_json():
     rep = hp_norm(CoeffSeq(np.array([1.0])), 2.0)
-    import json
-
-    data = json.loads(rep.to_json())
+    data = rep.to_json()
     assert set(data) == {"value", "grid_points", "radial_nodes", "refinement_delta"}
 
 

@@ -96,7 +96,7 @@ def test_counterexample_matches_schema(capsys):
 
 def test_specs_and_measures_match_their_schemas():
     mu = DiscreteMeasure(np.array([0.0, 0.25, 0.5, 0.75]), np.array([0.1, 0.2, 0.3, 0.4]))
-    validate(json.loads(mu.to_json()), "discrete_measure")
+    validate(mu.to_json(), "discrete_measure")
     base = SequenceSpec.power_law(2.0, 0.5, 7)
     for spec in (
         base,
@@ -105,7 +105,7 @@ def test_specs_and_measures_match_their_schemas():
         SequenceSpec.measure_moments(mu, 7),
         SequenceSpec.signed(base, [1, -1] * 4),
     ):
-        validate(json.loads(spec.to_json()), "sequence_spec")
+        validate(spec.to_json(), "sequence_spec")
 
 
 def test_suite_report_matches_schema():
