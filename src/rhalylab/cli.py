@@ -64,6 +64,9 @@ def _load_series(text: str, trunc: int | None) -> tuple[CoeffSeq, dict]:
     """Accept coefficients ({"coeffs": ...} or a bare list) or a sequence
     spec (realized through its generating function)."""
     data = _read_json_arg(text)
+    series = isinstance(data, list) or isinstance(data, dict) and "coeffs" in data
+    if series and trunc is not None:
+        raise MalformedSpec("--trunc applies to a sequence spec, not to coefficients")
     if isinstance(data, list):
         if not all(map(is_number, data)):
             raise MalformedSpec("a coefficient list holds numbers only")
@@ -77,8 +80,14 @@ def _load_series(text: str, trunc: int | None) -> tuple[CoeffSeq, dict]:
 
 
 def _load_spec(data, trunc: int | None) -> SequenceSpec:
-    """A sequence spec from parsed JSON; --trunc stands in for a missing truncation."""
+    """A sequence spec from parsed JSON. --trunc stands in for a missing
+    truncation; one that differs from the spec's own is refused, since
+    nothing would read it."""
     if trunc is not None and isinstance(data, dict):
+        if "truncation" in data and data["truncation"] != trunc:
+            raise MalformedSpec(
+                f"--trunc {trunc} differs from the spec's truncation {data['truncation']!r}"
+            )
         data = {"truncation": trunc, **data}
     return SequenceSpec.from_json(data)
 
@@ -162,10 +171,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_opnorm(args) -> int:
-    """The l2 section norm at p = 2; at other p a lower bound from a
-    deterministic candidate family, which reads neither a seed nor N."""
-    spec = _load_spec(_read_json_arg(args.spec), args.trunc)
+    """The l2 section norm at p = 2, where --trunc is the section size N; at
+    other p a lower bound from a deterministic candidate family, which reads
+    neither a seed nor N."""
+    data = _read_json_arg(args.spec)
     if args.p == 2.0:
+        own = isinstance(data, dict) and "truncation" in data
+        spec = _load_spec(data, None if own else args.trunc)
         N = args.trunc if args.trunc is not None else spec.truncation + 1
         seed = args.seed if args.seed is not None else 0
         est = opnorm_h2(spec, N, seed=seed)
@@ -173,7 +185,7 @@ def cmd_opnorm(args) -> int:
     elif args.seed is not None:
         raise ValueError("--seed is read only at --p 2")
     else:
-        est = opnorm_lower_hp(spec, args.p)
+        est = opnorm_lower_hp(_load_spec(data, args.trunc), args.p)
         config = _config(args)
     _emit({"estimate": est.to_json()}, config, args.out, "opnorm")
     return EXIT_OK if est.converged else EXIT_NO_CONVERGENCE

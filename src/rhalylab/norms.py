@@ -34,7 +34,9 @@ symmetry, so it runs half the transforms and takes |.|^p on half the
 samples. Integral means on a single circle
 keep the default grid of the whole series, and so does the growth seminorm
 (1 - r)^{1 - alpha} M_p(r, f') of :func:`beta_sup`, which samples f' at
-every radius of its ladder in one :func:`_mp_powers_on_nodes` call.
+every radius of its ladder in one :func:`_mp_powers_on_nodes` call, and so
+does :func:`hp_norms`, which stacks many series of one degree as the rows
+of that call, at radius 1, and returns the bits of :func:`hp_norm`.
 
 Dyadic block norms ||Delta_N f||_{H^p} go through one evaluator,
 :class:`_BlockEngine`. On |z| = 1 the block is, up to the unimodular factor
@@ -51,6 +53,8 @@ delta is reported with the values.
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +246,39 @@ def hp_norm(f: CoeffSeq, p: float) -> NormReport:
     return mean_mp(f, 1.0, p)
 
 
+def hp_norms(fs: Iterable[CoeffSeq], p: float) -> Iterator[NormReport]:
+    """hp_norm(f, p) for every f in ``fs``, series of one degree, bit for bit.
+
+    The series are stacked a chunk at a time and sampled at radius 1 by
+    :func:`_mp_powers_on_nodes`, on the default grid and on the doubled one,
+    so each transform is one row of a batch rather than a call of its own. A
+    chunk holds as many rows as the doubled grid fits in _NODE_CHUNK_BYTES,
+    and it is the most of ``fs`` held at a time. Each value and delta is
+    finished in Python floats by :func:`_refined`, as :func:`mean_mp`
+    finishes them. A series of another degree than the first raises
+    ValueError.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    fs = iter(fs)
+    first = next(fs, None)
+    if first is None:
+        return
+    degree = first.degree
+    M = default_angular_points(degree)
+    rows = max(1, _NODE_CHUNK_BYTES // (32 * M))
+    unit = np.ones(1)
+    stream = itertools.chain([first], fs)
+    while chunk := list(itertools.islice(stream, rows)):
+        if any(f.degree != degree for f in chunk):
+            raise ValueError(f"hp_norms takes series of one degree, {degree} first")
+        stack = np.stack([f.coeffs for f in chunk])
+        coarse = _mp_powers_on_nodes(stack, p, unit, M).tolist()
+        fine = _mp_powers_on_nodes(stack, p, unit, 2 * M).tolist()
+        for lo, hi in zip(coarse, fine):
+            yield _refined({M: lo ** (1.0 / p), 2 * M: hi ** (1.0 / p)}.__getitem__, M, M, 1)
+
+
 #: bytes of complex samples one chunk of radial nodes may hold at a time;
 #: 1 to 16 MB took the same time at degree 8191 and 2 MB was fastest
 #: (Xeon, 2 MB L2 per core)
@@ -267,28 +304,40 @@ def _fast_length(n: int) -> int:
     return int(smooth[np.searchsorted(smooth, n)])
 
 
-def _mp_powers_on_nodes(f: CoeffSeq, p: float, nodes: np.ndarray, M: int) -> np.ndarray:
-    """M_p^p(r, f) on M angles for every radius r in nodes.
+def _mp_powers_on_nodes(coeffs: np.ndarray, p: float, nodes: np.ndarray, M: int) -> np.ndarray:
+    """M_p^p(r, g) on M angles for every row of the damped stack r^n a_n.
 
-    Damping, inverse FFT, |.|^p and the mean run over chunks of rows whose M
-    complex samples fit in _NODE_CHUNK_BYTES, and each M_p^p goes into one
-    preallocated vector. Memory is then about the budget, not nodes x M.
-    Each row does the same arithmetic as one batched FFT over all nodes, so
-    the values are bit-identical to it and do not depend on the chunk size.
-    The radial norms call it through :func:`_mp_powers_truncated`, once for
-    each group of nodes that share a truncated series and a grid.
+    ``coeffs`` is one series a_0 .. a_d, or a stack of such rows of one
+    degree, and broadcasts row by row against the radii in ``nodes``: one
+    series on many radii (the radial norms), or many series on one radius
+    (:func:`hp_norms`). Damping, inverse FFT, |.|^p and the mean run over
+    chunks of rows whose M complex samples fit in _NODE_CHUNK_BYTES, and
+    each M_p^p goes into one preallocated vector. Memory is then about the
+    budget, not rows x M. Each row does the same arithmetic as one batched
+    FFT over all rows, so the values are bit-identical to it and do not
+    depend on the chunk size. The scaling by M and the power run in place;
+    ``*=`` and ``**=`` take the fast paths of ``*`` and ``**``, so the bits
+    are those of :func:`mean_mp`'s samples. The radial norms call it through
+    :func:`_mp_powers_truncated`, once for each group of nodes that share a
+    truncated series and a grid.
     """
-    n = np.arange(f.degree + 1)
+    count, width = np.broadcast_shapes((len(nodes), 1), coeffs.shape)
+    radii = np.broadcast_to(nodes[:, None], (count, 1))
+    rows_of = np.broadcast_to(coeffs, (count, width))
+    n = np.arange(width)
     rows = max(1, _NODE_CHUNK_BYTES // (16 * M))
-    out = np.empty(len(nodes))
-    for lo in range(0, len(nodes), rows):
-        damped = nodes[lo : lo + rows, None] ** n[None, :] * f.coeffs[None, :]
-        vals = np.fft.ifft(damped, n=M, axis=1) * M
-        out[lo : lo + rows] = np.mean(np.abs(vals) ** p, axis=1)
+    out = np.empty(count)
+    for lo in range(0, count, rows):
+        damped = radii[lo : lo + rows] ** n * rows_of[lo : lo + rows]
+        vals = np.fft.ifft(damped, n=M, axis=1)
+        vals *= M
+        vals = np.abs(vals)
+        vals **= p
+        out[lo : lo + rows] = np.mean(vals, axis=1)
     return out
 
 
-def _mp_powers_on_node_pairs(f: CoeffSeq, p: float, nodes: np.ndarray, M: int) -> np.ndarray:
+def _mp_powers_on_node_pairs(coeffs: np.ndarray, p: float, nodes: np.ndarray, M: int) -> np.ndarray:
     """:func:`_mp_powers_on_nodes` for a series with real coefficients, two
     nodes per inverse FFT.
 
@@ -302,8 +351,8 @@ def _mp_powers_on_node_pairs(f: CoeffSeq, p: float, nodes: np.ndarray, M: int) -
     |Z| <= |X_a| + |X_b|, so by Minkowski's inequality M_p(r_a) moves by a few
     u times M_p(r_a) + M_p(r_b), and likewise for r_b.
     """
-    a = f.coeffs.real
-    n = np.arange(f.degree + 1)
+    a = coeffs.real
+    n = np.arange(len(a))
     mirror = -np.arange(M // 2 + 1) % M
     pairs = max(1, _NODE_CHUNK_BYTES // (16 * M))
     out = np.empty(len(nodes))
@@ -402,8 +451,7 @@ def _mp_powers_truncated(f: CoeffSeq, p: float, nodes: np.ndarray) -> np.ndarray
     starts = np.flatnonzero(np.diff(grids, prepend=0))
     for lo, hi in zip(starts, [*starts[1:], len(nodes)]):
         top = int(K[lo:hi].max())
-        g = f if top == f.degree else CoeffSeq._owning(f.coeffs[: top + 1])
-        out[lo:hi] = kernel(g, p, nodes[lo:hi], int(grids[lo]))
+        out[lo:hi] = kernel(f.coeffs[: top + 1], p, nodes[lo:hi], int(grids[lo]))
     return out
 
 
@@ -544,7 +592,7 @@ def beta_sup(
     if p < 1:
         raise ValueError("p must be >= 1")
     fp = derivative(f)
-    powers = _mp_powers_on_nodes(fp, p, radii, default_angular_points(fp.degree))
+    powers = _mp_powers_on_nodes(fp.coeffs, p, radii, default_angular_points(fp.degree))
     # Python floats, so each value rounds as mean_mp's scalar arithmetic does
     return max(
         (1.0 - r) ** (1.0 - alpha) * m ** (1.0 / p)

@@ -92,6 +92,22 @@ def test_opnorm_records_seed_and_N_only_at_p2(capsys):
     assert json.loads(out)["run_config"] == {"command": "opnorm", "p": 2.0, "N": 64, "seed": 0}
 
 
+def test_trunc_equal_to_the_spec_truncation_is_read(capsys):
+    """A --trunc equal to the spec's truncation changes nothing but the
+    run_config; opnorm at p = 2 reads --trunc as the section size N."""
+    for argv in (["norm", "--p", "1.5"], ["profile", "--p", "2"], ["classify", "--p", "2"],
+                 ["opnorm", "--p", "1.5"]):
+        code, out, _ = run_cli(capsys, *argv, "--spec", SPEC)
+        code_t, out_t, _ = run_cli(capsys, *argv, "--spec", SPEC, "--trunc", "255")
+        assert code == code_t == 0
+        plain, given = json.loads(out), json.loads(out_t)
+        assert given.pop("run_config") == dict(plain.pop("run_config"), trunc=255)
+        assert given == plain
+    code, out, _ = run_cli(capsys, "opnorm", "--spec", SPEC, "--p", "2", "--trunc", "16")
+    assert code == 0
+    assert json.loads(out)["run_config"]["N"] == 16
+
+
 #: the flag set all subcommands once shared (suite without --p) and the
 #: per-subcommand extras; a subcommand refuses each one it does not read
 OLD_COMMON_FLAGS = ("--spec", "--p", "--alpha", "--q", "--trunc", "--out", "--grid-M",
@@ -110,7 +126,7 @@ READING_ARGVS = {
     "profile": (["--spec", '{"kind":"cesaro"}', "--trunc", "255", "--p", "1.5",
                  "--alpha", "0.5", "--grid-J", "6"],),
     "classify": (["--spec", SPEC, "--space", "bergman", "--p", "2", "--alpha", "1",
-                  "--trunc", "127"],),
+                  "--trunc", "255"],),
     "opnorm": (["--spec", SPEC, "--p", "2", "--trunc", "16", "--seed", "3"],),
     "counterexample": (["--p", "1.5", "--grid-J", "3"],),
     "basis-check": (["--spec", PROFILE, "--trunc", "8"],),
@@ -196,6 +212,15 @@ def test_run_config_of_verdict_requests(capsys):
                        '"signs":[1,1,1,1,1,1]}'],
     ["classify", "--spec", '{"truncation":63}'],
     ["opnorm", "--spec", '{"kind":"cesaro"}'],
+    # a --trunc that nothing would read: the spec has another truncation,
+    # or the input is a coefficient series
+    ["norm", "--spec", '{"kind":"cesaro","truncation":63}', "--trunc", "31"],
+    ["profile", "--spec", '{"kind":"cesaro","truncation":255}', "--trunc", "127"],
+    ["classify", "--spec", '{"kind":"cesaro","truncation":8191}', "--p", "2", "--trunc", "127"],
+    ["opnorm", "--spec", '{"kind":"cesaro","truncation":63}', "--p", "1.5", "--trunc", "31"],
+    ["norm", "--spec", "[0,1]", "--trunc", "1"],
+    ["norm", "--spec", '{"coeffs":[[0,0],[1,0]]}', "--trunc", "1"],
+    ["profile", "--spec", "[0,1,0,1]", "--trunc", "3"],
 ])
 def test_malformed_spec_shapes_exit_2(argv, capsys):
     code, _, err = run_cli(capsys, *argv)

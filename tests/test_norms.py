@@ -20,6 +20,7 @@ from rhalylab.norms import (
     dirichlet_norm,
     dyadic_radii,
     hp_norm,
+    hp_norms,
     mean_mp,
     xqp_norm,
 )
@@ -219,8 +220,36 @@ def test_streamed_nodes_match_one_batched_fft(M, divides):
         nodes, _ = norms._jacobi_rule(0.5, count)
         for p in (1.5, 2.0, 3.0):
             assert np.array_equal(
-                norms._mp_powers_on_nodes(f, p, nodes, M), _one_shot_mp_powers(f, p, nodes, M)
+                norms._mp_powers_on_nodes(f.coeffs, p, nodes, M),
+                _one_shot_mp_powers(f, p, nodes, M),
             )
+
+
+@pytest.mark.parametrize("degree", [0, 3, 256, 1000])
+def test_hp_norms_equal_hp_norm_bit_for_bit(degree):
+    """Every batched report equals hp_norm's under ==, over more rows than
+    one chunk. Degree 256 samples on 2056 = 8 * 257 angles, a length numpy
+    transforms by Bluestein's algorithm."""
+    M = norms.default_angular_points(degree)
+    chunk = max(1, norms._NODE_CHUNK_BYTES // (32 * M))
+    rng = np.random.default_rng(degree)
+    fs = [CoeffSeq(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+          for _ in range(chunk + 2)]
+    fs += [CoeffSeq(np.zeros(degree + 1)), CoeffSeq(np.eye(1, degree + 1, degree)[0])]
+    for p in (1, 1.5, 2, 3, 4):
+        reports = list(hp_norms(iter(fs), p))
+        assert len(reports) == len(fs)
+        for f, rep in zip(fs, reports):
+            assert rep == hp_norm(f, p)
+
+
+def test_hp_norms_refuses_mixed_degrees():
+    f3, f4 = CoeffSeq(np.ones(4)), CoeffSeq(np.ones(5))
+    with pytest.raises(ValueError):
+        list(hp_norms([f3, f4], 1.5))
+    with pytest.raises(ValueError):
+        list(hp_norms([f3], 0.5))
+    assert list(hp_norms([], 1.5)) == []
 
 
 def test_bergman_norm_memory_is_bounded_by_node_chunks():
@@ -434,7 +463,7 @@ def test_paired_real_rows_match_one_shot_within_few_u(shape, degree, seed, p, co
     M = int(next(m for m in norms._smooth_lengths(16) if m >= points and m % 2 == odd))
     ref = _one_shot_mp_powers(f, p, nodes, M)
     normal = ref >= np.finfo(float).tiny / U
-    got = norms._mp_powers_on_node_pairs(f, p, nodes, M) ** (1.0 / p)
+    got = norms._mp_powers_on_node_pairs(f.coeffs, p, nodes, M) ** (1.0 / p)
     ref = ref ** (1.0 / p)
     assert np.all((np.abs(got - ref) <= 16 * U * (ref + _partners(ref)))[normal])
 

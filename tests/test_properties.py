@@ -85,7 +85,7 @@ def test_adjoint_identity(eta, vw):
     v, w = vw
     ev = eta.values()[: len(v)]
     lhs = np.vdot(w, apply_rhaly(eta, CoeffSeq(v)).coeffs)
-    rhs = np.vdot(_section_rmatvec(ev, w), v)
+    rhs = np.vdot(_section_rmatvec(np.conj(ev), w), v)
     # both sides sum eta_n v_k conj(w_n) over k <= n, in different orders;
     # each product that underflows adds an absolute error, which the later
     # factors w_n (left) or v_k summed over n >= k (right) multiply

@@ -8,10 +8,12 @@ import pytest
 
 from rhalylab.coeffcore import CoeffSeq, derivative, hadamard, prefix_sums
 from rhalylab.errors import NotMonotone, TruncationMismatch
+from rhalylab.norms import hp_norm
 from rhalylab.rhalyop import (
     DiscreteMeasure,
     SequenceSpec,
     TruncatedRhaly,
+    _family_candidates,
     apply_rhaly,
     carleson_check,
     generating_function,
@@ -266,6 +268,8 @@ def test_opnorm_lower_hp():
     assert opnorm_lower_hp(zeros, 2.0).lower == 0.0
     e0 = SequenceSpec.literal([1.0] + [0.0] * 31)
     assert opnorm_lower_hp(e0, 1.5).lower >= 1.0 - 1e-9
+    # the coordinate monomials z^2 and z^8 fall back to z^T below degree 8
+    assert opnorm_lower_hp(SequenceSpec.cesaro(1), 1.5).lower >= 1.0
 
 
 def test_opnorm_lower_hp_consistent_with_section():
@@ -277,6 +281,80 @@ def test_opnorm_lower_hp_consistent_with_section():
     )
     assert best <= section + 1e-9
     assert best >= 0.95 * section
+
+
+#: real sections of N <= 256, every kind that realizes a real eta
+REAL_SECTIONS = [
+    SequenceSpec.cesaro(255),
+    SequenceSpec.power_law(1.2, 0.7, 127),
+    SequenceSpec.signed(SequenceSpec.cesaro(63), np.resize([1, -1, -1], 64)),
+]
+
+
+@pytest.mark.parametrize("eta", REAL_SECTIONS, ids=lambda eta: eta.kind)
+def test_opnorm_h2_real_path_matches_complex_rotation_and_svd(eta):
+    """A real eta iterates in float64. Turning eta by e^{i phi} keeps the
+    singular values and takes the complex path; both agree, and match the
+    dense SVD. The real witness has no imaginary part, not even -0.0."""
+    N = eta.truncation + 1
+    est = opnorm_h2(eta, N, seed=4)
+    ev = eta.values()
+    turned = opnorm_h2(SequenceSpec.literal(ev * np.exp(0.7j)), N, seed=4)
+    assert np.any(turned.witness.coeffs.imag)
+    assert abs(est.lower - turned.lower) <= 1e-12 * turned.lower
+    sigma = np.linalg.svd(np.tril(np.repeat(ev.real[:, None], N, axis=1)), compute_uv=False)[0]
+    assert abs(est.lower - sigma) <= 1e-10 * sigma
+    imag = est.witness.coeffs.imag
+    assert not np.any(imag) and not np.any(np.signbit(imag))
+    assert est.refinement_delta == 0.0
+
+
+def _lower_hp_reference(eta, p, family, seed):
+    """opnorm_lower_hp as one hp_norm call per candidate and per image, over
+    the whole candidate list: the lower bound, the witness and the worst
+    refinement delta."""
+    best_ratio, best_witness, worst = 0.0, None, 0.0
+    for f in list(_family_candidates(eta, family, seed)):
+        denom = hp_norm(f, p)
+        num = hp_norm(apply_rhaly(eta, f), p)
+        worst = max(worst, denom.refinement_delta, num.refinement_delta)
+        if denom.value == 0.0:
+            continue
+        if num.value / denom.value > best_ratio:
+            best_ratio, best_witness = num.value / denom.value, f
+    return best_ratio, best_witness, worst
+
+
+LOWER_HP_SPECS = [
+    SequenceSpec.cesaro(300),
+    SequenceSpec.power_law(1.3, 0.8, 200),
+    SequenceSpec.literal([np.exp(1j * k) / (k + 1) for k in range(100)]),
+]
+
+
+@pytest.mark.parametrize("family", ["CoordinateDisks", "RandomPoly"])
+@pytest.mark.parametrize("eta", LOWER_HP_SPECS, ids=lambda eta: eta.kind)
+def test_opnorm_lower_hp_equals_the_hp_norm_loop(eta, family):
+    for p in (1, 1.5, 2, 3):
+        est = opnorm_lower_hp(eta, p, family=family, seed=5)
+        lower, witness, worst = _lower_hp_reference(eta, p, family, 5)
+        assert est.lower == lower
+        assert est.witness == witness
+        assert est.refinement_delta == worst
+        assert est.to_json()["refinement_delta"] == worst
+
+
+def test_opnorm_lower_hp_memory_holds_one_chunk_of_candidates():
+    """The 64 CoordinateDisks candidates of degree 16383 take 16.8 MB
+    together; the estimate holds a chunk of them at a time, here one."""
+    eta = SequenceSpec.cesaro(16383)
+    tracemalloc.start()
+    try:
+        opnorm_lower_hp(eta, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_spec_json_roundtrips():
