@@ -177,8 +177,8 @@ def classify_bergman(eta: SequenceSpec, p: float, alpha: float) -> Verdict:
     """
     if not 1.0 < p < np.inf:
         raise PRange(f"p={p} must lie in (1, inf)")
-    if alpha <= -1.0:
-        raise AlphaRange(f"alpha={alpha} must exceed -1")
+    if not -1.0 < alpha < np.inf:
+        raise AlphaRange(f"alpha={alpha} must lie in (-1, inf)")
     space = f"Bergman(p={p},alpha={alpha})"
     theorem = "Thm3" if alpha == 0.0 else "Thm7"
     member, profile = _memberships(eta)(p)

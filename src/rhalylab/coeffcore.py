@@ -145,22 +145,32 @@ def prefix_sums(f: CoeffSeq) -> CoeffSeq:
     parts alike: as accurate as summing in twice the working precision and
     rounding once, so cancelling terms cost no accuracy beyond gamma^2.
     The work runs in fixed-size chunks, carrying (S, sum of errors) across
-    chunk boundaries, so temporaries stay bounded at any length.
+    chunk boundaries, so temporaries stay bounded at any length. The two
+    chunk buffers are allocated once per call, and every step writes into
+    them: S_{n-1} is read as the slice of S shifted by one, with the carried
+    sum in front.
     """
     a = f.coeffs
     out = np.empty_like(a)
+    width = min(len(a), _PREFIX_CHUNK)
+    zbuf, ebuf = np.empty(width, dtype=a.dtype), np.empty(width, dtype=a.dtype)
     run = comp = 0j
     for lo in range(0, len(a), _PREFIX_CHUNK):
         x = a[lo : lo + _PREFIX_CHUNK]
-        s = out[lo : lo + len(x)]
+        s, z, e = out[lo : lo + len(x)], zbuf[: len(x)], ebuf[: len(x)]
         # continue the sequential sum across the chunk boundary
         s[:] = x
         s[0] += run
         np.cumsum(s, out=s)
-        p = np.concatenate(([run], s[:-1]))
-        # TwoSum: S_{n-1} + a_n = S_n + e_n exactly
-        z = s - p
-        e = (p - (s - z)) + (x - z)
+        # TwoSum: S_{n-1} + a_n = S_n + e_n exactly, with z = S_n - S_{n-1}
+        # and e = (S_{n-1} - (S_n - z)) + (a_n - z)
+        z[0] = s[0] - run
+        np.subtract(s[1:], s[:-1], out=z[1:])
+        np.subtract(s, z, out=e)
+        e[0] = run - e[0]
+        np.subtract(s[:-1], e[1:], out=e[1:])
+        np.subtract(x, z, out=z)
+        e += z
         e[0] += comp
         np.cumsum(e, out=e)
         run, comp = s[-1], e[-1]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffcore import CoeffSeq, zero_head
-from .errors import DegreeTooSmall
+from .errors import AlphaRange, DegreeTooSmall
 from .norms import REFINEMENT_FLAG, _BlockEngine, beta_sup
 
 DEFAULT_EPS_SLOPE = 0.1
@@ -109,6 +109,8 @@ def block_profile(
     """
     if K < 6:
         raise ValueError("need K >= 6 dyadic blocks")
+    if not np.isfinite(alpha):
+        raise AlphaRange(f"alpha={alpha} must be finite")
     if 2 ** (K + 1) - 1 > f.degree:
         raise DegreeTooSmall(
             f"top block ends at {2 ** (K + 1) - 1}, past degree {f.degree}; "

@@ -158,6 +158,7 @@ class _BlockEngine:
     def norms(self, p: float) -> tuple[np.ndarray, float]:
         """||Delta_N f||_{H^p} for every N on its finest grid, and the worst
         refinement delta over the blocks."""
+        _require_exponent("p", p)
         values = np.empty(len(self.Ns))
         worst = 0.0
         for i in range(len(self.Ns)):
@@ -216,6 +217,12 @@ def dyadic_radii() -> np.ndarray:
     return 1.0 - 2.0 ** (-np.arange(1, DYADIC_J + 1, dtype=float))
 
 
+def _require_exponent(name: str, p: float) -> None:
+    """Refuse an integrability exponent outside [1, inf); NaN is outside too."""
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"{name}={p} must lie in [1, inf)")
+
+
 def default_angular_points(degree: int) -> int:
     return max(1024, 8 * (degree + 1))
 
@@ -231,8 +238,7 @@ def mean_mp(f: CoeffSeq, r: float, p: float) -> NormReport:
     refinement estimate."""
     if not 0.0 < r <= 1.0:
         raise RadiusRange(f"r={r} must lie in (0, 1]")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _require_exponent("p", p)
     M = default_angular_points(f.degree)
     return _refined(lambda m: _mp_power_mean(f, r, p, m) ** (1.0 / p), M, M, 1)
 
@@ -258,8 +264,7 @@ def hp_norms(fs: Iterable[CoeffSeq], p: float) -> Iterator[NormReport]:
     finishes them. A series of another degree than the first raises
     ValueError.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _require_exponent("p", p)
     fs = iter(fs)
     first = next(fs, None)
     if first is None:
@@ -463,10 +468,9 @@ def bergman_norm(f: CoeffSeq, p: float, alpha: float) -> NormReport:
     as its refinement delta. Every other p goes through
     :func:`_bergman_quadrature`.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if alpha <= -1:
-        raise AlphaRange(f"alpha={alpha} must exceed -1")
+    _require_exponent("p", p)
+    if not -1.0 < alpha < np.inf:
+        raise AlphaRange(f"alpha={alpha} must lie in (-1, inf)")
     if p == 2:
         return _bergman_closed_form(f, alpha)
     return _bergman_quadrature(f, p, alpha)
@@ -547,10 +551,10 @@ def dirichlet_norm(f: CoeffSeq, p: float, alpha: float) -> NormReport:
 
 def xqp_norm(f: CoeffSeq, q: float, p: float) -> NormReport:
     """Mixed-norm value (|f(0)|^p + int_0^1 (1-r)^{p(1-1/q)} M_q^p(r,f') dr)^{1/p}."""
+    _require_exponent("q", q)
+    _require_exponent("p", p)
     if q > p:
         raise ParamOrder(f"need q <= p, got q={q}, p={p}")
-    if q < 1:
-        raise ValueError("q must be >= 1")
     a = p * (1.0 - 1.0 / q)
     fp = derivative(f)
     M = _fast_length(default_angular_points(fp.degree))
@@ -589,8 +593,7 @@ def beta_sup(
         raise RadiusRange(f"r={bad[0]} must lie in (0, 1)")
     if not 0.0 < alpha <= 1.0:
         raise AlphaRange(f"alpha={alpha} must lie in (0, 1]")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _require_exponent("p", p)
     fp = derivative(f)
     powers = _mp_powers_on_nodes(fp.coeffs, p, radii, default_angular_points(fp.degree))
     # Python floats, so each value rounds as mean_mp's scalar arithmetic does

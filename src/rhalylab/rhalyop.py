@@ -486,7 +486,10 @@ def _family_candidates(eta: SequenceSpec, family: str, seed: int) -> Iterator[Co
             yield CoeffSeq(e)
     elif family == "RandomPoly":
         rng = np.random.default_rng(seed)
-        deg = min(256, T)
+        # 2^8 coefficients: the grids of 8 and 16 points per coefficient are
+        # then powers of two, which numpy transforms without Bluestein's
+        # algorithm
+        deg = min(255, T)
         for _ in range(_FAMILY_BUDGET):
             c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             yield CoeffSeq(c)
@@ -500,11 +503,15 @@ def opnorm_lower_hp(
     family: str = "CoordinateDisks",
     seed: int = 0,
 ) -> OpNormEstimate:
-    """Certified lower bound: max over candidates of ||R f||_{H^p} / ||f||_{H^p}.
+    """Lower-bound estimate: max over candidates of ||R f||_{H^p} / ||f||_{H^p}.
 
-    Each candidate and its image go through one :func:`hp_norms` stream, so
-    at most one chunk of them is held at a time. The estimate carries the
-    worst refinement delta of those reports.
+    The value is the largest ratio of two trapezoid values, each with the
+    grid-doubling refinement delta of its report, which estimates its error
+    but need not bound it. So the value is not certified: the true ratio of
+    the witness may lie below it. ``refinement_delta`` reports the worst
+    delta of the reports behind it. Each candidate and its image go through
+    one :func:`hp_norms` stream, so at most one chunk of them is held at a
+    time.
     """
     best_ratio = 0.0
     best_witness = None

@@ -117,6 +117,12 @@ def test_p_range_guard():
         classify_hardy(eta, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_bergman_alpha_guard_refuses_non_finite(alpha):
+    with pytest.raises(AlphaRange):
+        classify_bergman(SequenceSpec.cesaro(128), 2.0, alpha)
+
+
 def test_bergman_verdicts():
     assert "Bounded" in classify_bergman(SequenceSpec.cesaro(TRUNC), 2.0, 0.0).conclusions
     assert (

@@ -270,6 +270,31 @@ def test_bad_input_exits_2(capsys):
     assert code == 2
 
 
+#: every call that takes an exponent or weight outside its range; "--p=-inf"
+#: keeps argparse from reading -inf as a flag, so the library refuses it
+NON_FINITE_ARGVS = [
+    ["norm", "--space", space, f"--p={p}"]
+    for space in ("hardy", "bergman", "dirichlet")
+    for p in ("nan", "inf", "-inf")
+] + [
+    ["opnorm", f"--p={p}"] for p in ("nan", "inf", "-inf")
+] + [
+    [cmd, "--space", "bergman", "--p", "2", "--alpha", alpha]
+    for cmd in ("norm", "classify")
+    for alpha in ("nan", "inf")
+] + [
+    ["profile", f"--p={p}"] for p in ("nan", "inf")
+] + [["profile", "--p", "2", "--alpha", "nan"]]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGVS, ids=" ".join)
+def test_non_finite_exponents_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--spec", '{"kind":"cesaro","truncation":255}')
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [")
+
+
 def test_malformed_measure_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "classify", "--spec",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rhalylab import coeffcore
 from rhalylab.coeffcore import (
     CircleGrid,
     CoeffSeq,
@@ -117,6 +118,54 @@ def test_prefix_sums_compensation_on_alternating_input():
     out = prefix_sums(CoeffSeq(c)).coeffs
     assert out[-1] == 1e8
     assert np.all(np.abs(out[1::2]) == 0.0)
+
+
+def _concatenating_prefix_sums(a: np.ndarray) -> np.ndarray:
+    """The Sum2 kernel as it stood before it reused its buffers: S_{n-1}
+    from np.concatenate and a fresh temporary for every step of a chunk."""
+    chunk = coeffcore._PREFIX_CHUNK
+    out = np.empty_like(a)
+    run = comp = 0j
+    for lo in range(0, len(a), chunk):
+        x = a[lo : lo + chunk]
+        s = out[lo : lo + len(x)]
+        s[:] = x
+        s[0] += run
+        np.cumsum(s, out=s)
+        p = np.concatenate(([run], s[:-1]))
+        z = s - p
+        e = (p - (s - z)) + (x - z)
+        e[0] += comp
+        np.cumsum(e, out=e)
+        run, comp = s[-1], e[-1]
+        s += e
+    return out
+
+
+def _prefix_inputs(n: int) -> dict:
+    rng = np.random.default_rng(n)
+    cancelling = np.where(np.arange(n) % 2 == 0, 1e8, -1e8) + rng.standard_normal(n)
+    return {
+        "real": rng.standard_normal(n),
+        "complex": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        "cancelling": cancelling + 1j * cancelling[::-1],
+        "wide": rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n)
+        + 1j * rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n),
+    }
+
+
+@pytest.mark.parametrize("offset", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                         ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+5"])
+def test_prefix_sums_equals_the_concatenating_kernel(offset):
+    """Every output bit, signed zeros included, is the old kernel's."""
+    chunks, extra = offset
+    n = chunks * coeffcore._PREFIX_CHUNK + extra
+    for name, c in _prefix_inputs(n).items():
+        got = prefix_sums(CoeffSeq(c)).coeffs
+        want = _concatenating_prefix_sums(CoeffSeq(c).coeffs)
+        assert np.array_equal(got, want), name
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want))), name
 
 
 def test_evaluate_on_circle_matches_direct_evaluation():

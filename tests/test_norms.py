@@ -51,6 +51,37 @@ def test_mean_mp_input_validation():
         mean_mp(f, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+def test_non_finite_exponents_are_refused(p):
+    """NaN slips past an ordered comparison such as p < 1, and p = inf
+    would average |f|^inf; both are refused as exponents outside [1, inf)."""
+    f = CoeffSeq(np.array([1.0, 0.5, 0.25]))
+    refusals = [
+        lambda: mean_mp(f, 0.5, p),
+        lambda: hp_norm(f, p),
+        lambda: list(hp_norms([f], p)),
+        lambda: bergman_norm(f, p, 0.0),
+        lambda: dirichlet_norm(f, p, 1.0),
+        lambda: xqp_norm(f, 1.5, p),
+        lambda: xqp_norm(f, p, 3.0),
+        lambda: beta_sup(f, p, 0.5),
+        lambda: norms._BlockEngine(np.ones(16, dtype=complex), [2, 4]).norms(p),
+    ]
+    for call in refusals:
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_non_finite_alpha_is_refused(alpha):
+    f = CoeffSeq(np.array([1.0, 0.5, 0.25]))
+    for p in (1.5, 2.0):
+        with pytest.raises(AlphaRange):
+            bergman_norm(f, p, alpha)
+        with pytest.raises(AlphaRange):
+            dirichlet_norm(f, p, alpha)
+
+
 def test_hp_norm_oracles():
     assert abs(hp_norm(CoeffSeq(np.array([3.0, 4.0])), 2.0).value - 5.0) < 1e-12
     assert abs(hp_norm(CoeffSeq(np.array([1.0])), 3.0).value - 1.0) < 1e-12

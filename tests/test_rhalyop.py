@@ -8,7 +8,7 @@ import pytest
 
 from rhalylab.coeffcore import CoeffSeq, derivative, hadamard, prefix_sums
 from rhalylab.errors import NotMonotone, TruncationMismatch
-from rhalylab.norms import hp_norm
+from rhalylab.norms import default_angular_points, hp_norm
 from rhalylab.rhalyop import (
     DiscreteMeasure,
     SequenceSpec,
@@ -270,6 +270,28 @@ def test_opnorm_lower_hp():
     assert opnorm_lower_hp(e0, 1.5).lower >= 1.0 - 1e-9
     # the coordinate monomials z^2 and z^8 fall back to z^T below degree 8
     assert opnorm_lower_hp(SequenceSpec.cesaro(1), 1.5).lower >= 1.0
+
+
+@pytest.mark.parametrize("T", [1, 2, 100, 254, 255, 256, 4096])
+def test_random_poly_candidates_sample_on_powers_of_two(T):
+    """From T = 255 on, a RandomPoly candidate has 2^8 coefficients, so its
+    coarse and doubled grids are powers of two; below, it has T + 1."""
+    eta = SequenceSpec.cesaro(T)
+    candidates = list(_family_candidates(eta, "RandomPoly", 3))
+    assert len(candidates) == 64
+    assert {len(f.coeffs) for f in candidates} == {min(T, 255) + 1}
+    if T >= 255:
+        M = default_angular_points(candidates[0].degree)
+        assert M == 2048
+        for m in (M, 2 * M):
+            assert m & (m - 1) == 0
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, 0.5])
+def test_opnorm_lower_hp_refuses_exponents_outside_one_to_inf(p):
+    for family in ("CoordinateDisks", "RandomPoly"):
+        with pytest.raises(ValueError):
+            opnorm_lower_hp(SequenceSpec.cesaro(63), p, family=family)
 
 
 def test_opnorm_lower_hp_consistent_with_section():
