@@ -16,6 +16,7 @@ import numpy as np
 
 from .coeffcore import CoeffSeq
 from .errors import AlphaRange, ShapeMismatch, TruncationTooSmall
+from .norms import _require_exponent
 from .rhalyop import SequenceSpec
 
 GEOMETRIC_TAIL_TOL = 1e-10
@@ -47,7 +48,9 @@ def extremal_fn(p: float, N: int) -> CoeffSeq:
 
 
 def alpha_beta_range(p: float, N: int, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """alpha_{k,N} and beta_{k,N} for k = k_lo .. k_hi (vectorized)."""
+    """alpha_{k,N} and beta_{k,N} for k = k_lo .. k_hi (vectorized), p in
+    [1, inf); :func:`hardy_psi` and :func:`bergman_psi` are built on them."""
+    _require_exponent("p", p)
     if k_lo < 1 or k_hi < k_lo:
         raise ValueError("need 1 <= k_lo <= k_hi")
     aN = 1.0 - 1.0 / N
@@ -224,8 +227,9 @@ def _sign_moments(C: np.ndarray, p: float) -> tuple[np.ndarray, bool]:
     """Normalized p-th sign moments of each column of the L x R amplitudes C.
 
     One sign set (:func:`_sign_chunks`) serves all R columns through the
-    product signs @ C.
+    product signs @ C. p must lie in [1, inf), as for every norm.
     """
+    _require_exponent("p", p)
     length = C.shape[0]
     # chunks of sign rows keep the complex product near 16 MB for any length
     rows = max(1, (1 << 20) // length)

@@ -24,14 +24,13 @@ default grid of degree K, taken at the smallest 2^a 3^b 5^c length at or
 above it (:func:`_fast_length`), never more than the grid of the whole
 series. A default grid with a large prime factor, such as 8(40N + 1) for
 g_N, would otherwise be transformed by Bluestein's algorithm at about
-three times the cost. Nodes that share a grid go through
-:func:`_mp_powers_on_nodes` together, which streams them through the
-angular FFT a few rows at a time, so memory stays near a fixed budget
-however many nodes or angles there are. A series with real coefficients
-goes through :func:`_mp_powers_on_node_pairs` instead, which packs two
-nodes into one complex row and separates their spectra by conjugate
-symmetry, so it runs half the transforms and takes |.|^p on half the
-samples. Integral means on a single circle
+three times the cost. Nodes that share a grid go through one kernel
+together, which streams them through the angular FFT a few rows at a
+time, so memory stays near a fixed budget however many nodes or angles
+there are: :func:`_mp_powers_on_nodes` for complex coefficients, and
+:func:`_mp_powers_on_real_nodes` for real ones, which takes one
+real-input transform per node and |.|^p on the floor(M/2) + 1 samples
+that conjugate symmetry leaves distinct. Integral means on a single circle
 keep the default grid of the whole series, and so does the growth seminorm
 (1 - r)^{1 - alpha} M_p(r, f') of :func:`beta_sup`, which samples f' at
 every radius of its ladder in one :func:`_mp_powers_on_nodes` call, and so
@@ -323,8 +322,9 @@ def _mp_powers_on_nodes(coeffs: np.ndarray, p: float, nodes: np.ndarray, M: int)
     depend on the chunk size. The scaling by M and the power run in place;
     ``*=`` and ``**=`` take the fast paths of ``*`` and ``**``, so the bits
     are those of :func:`mean_mp`'s samples. The radial norms call it through
-    :func:`_mp_powers_truncated`, once for each group of nodes that share a
-    truncated series and a grid.
+    :func:`_mp_powers_truncated` for a series with complex coefficients,
+    once for each group of nodes that share a truncated series and a grid;
+    a series with real coefficients goes to :func:`_mp_powers_on_real_nodes`.
     """
     count, width = np.broadcast_shapes((len(nodes), 1), coeffs.shape)
     radii = np.broadcast_to(nodes[:, None], (count, 1))
@@ -342,51 +342,34 @@ def _mp_powers_on_nodes(coeffs: np.ndarray, p: float, nodes: np.ndarray, M: int)
     return out
 
 
-def _mp_powers_on_node_pairs(coeffs: np.ndarray, p: float, nodes: np.ndarray, M: int) -> np.ndarray:
-    """:func:`_mp_powers_on_nodes` for a series with real coefficients, two
-    nodes per inverse FFT.
+def _mp_powers_on_real_nodes(coeffs: np.ndarray, p: float, nodes: np.ndarray, M: int) -> np.ndarray:
+    """:func:`_mp_powers_on_nodes` for a series with real coefficients, by
+    one real-input FFT per node.
 
-    Nodes 2j and 2j + 1 damp the real coefficients into real rows x_a and
-    x_b, and z = x_a + i x_b goes through one transform Z. The samples X of
-    a real row satisfy X[-k] = conj X[k], so X_a[k] = (Z[k] + conj Z[-k]) / 2
-    and X_b[k] = (Z[k] - conj Z[-k]) / (2i), and only k = 0 .. floor(M/2)
-    are needed (:func:`_folded_mean`). An odd last node pairs with a zero
-    row. The transform is unnormalized (norm="forward" leaves the inverse
-    unscaled), so no x M pass is needed. The split rounds relative to
-    |Z| <= |X_a| + |X_b|, so by Minkowski's inequality M_p(r_a) moves by a few
-    u times M_p(r_a) + M_p(r_b), and likewise for r_b.
+    The damped row r^n a_n is real, so its M samples X satisfy
+    |X[M - k]| = |X[k]|, and np.fft.rfft gives k = 0 .. floor(M/2). The
+    full sum of |X|^p weighs k = 0 once, 0 < k < M/2 twice and k = M/2
+    (M even) once. It is taken as twice the pairwise np.sum less the single
+    terms, which keeps the rounding of np.mean; a weighted dot product sums
+    sequentially and drifts by about sqrt(M) u. rfft is the forward
+    transform, which samples the angles -theta: the same circle. Chunks hold
+    as many rows as their M // 2 + 1 complex samples fit in
+    _NODE_CHUNK_BYTES, and each row does the arithmetic of one batched
+    transform, so the values do not depend on the chunk size.
     """
     a = coeffs.real
     n = np.arange(len(a))
-    mirror = -np.arange(M // 2 + 1) % M
-    pairs = max(1, _NODE_CHUNK_BYTES // (16 * M))
+    rows = max(1, _NODE_CHUNK_BYTES // (8 * M))
     out = np.empty(len(nodes))
-    for lo in range(0, len(nodes), 2 * pairs):
-        r = nodes[lo : lo + 2 * pairs, None]
-        z = np.zeros(((len(r) + 1) // 2, len(a)), dtype=complex)
-        z.real = r[0::2] ** n * a
-        z.imag[: len(r) // 2] = r[1::2] ** n * a
-        Z = np.fft.ifft(z, n=M, axis=1, norm="forward")
-        head, tail = Z[:, : M // 2 + 1], np.conjugate(Z[:, mirror])
-        out[lo : lo + len(r) : 2] = _folded_mean(head + tail, p, M)
-        out[lo + 1 : lo + len(r) : 2] = _folded_mean(head - tail, p, M)[: len(r) // 2]
+    for lo in range(0, len(nodes), rows):
+        damped = nodes[lo : lo + rows, None] ** n * a
+        powers = np.abs(np.fft.rfft(damped, n=M, axis=1))
+        powers **= p
+        sums = 2.0 * np.sum(powers, axis=1) - powers[:, 0]
+        if M % 2 == 0:
+            sums -= powers[:, -1]
+        out[lo : lo + rows] = sums / M
     return out
-
-
-def _folded_mean(X: np.ndarray, p: float, M: int) -> np.ndarray:
-    """Mean of |x|^p over M angles for every row, from X = 2x at k = 0 .. floor(M/2)
-    of a real row's samples x, |x[-k]| = |x[k]|.
-
-    The full sum weighs k = 0 once, 0 < k < M/2 twice and k = M/2 (M even)
-    once. It is taken as twice the pairwise np.sum less the single terms,
-    which keeps the rounding of np.mean; a weighted dot product sums
-    sequentially and drifts by about sqrt(M) u.
-    """
-    powers = np.abs(X) ** p
-    sums = 2.0 * np.sum(powers, axis=1) - powers[:, 0]
-    if M % 2 == 0:
-        sums -= powers[:, -1]
-    return sums * (0.5**p / M)
 
 
 #: unit roundoff of IEEE double precision
@@ -440,13 +423,15 @@ def _mp_powers_truncated(f: CoeffSeq, p: float, nodes: np.ndarray) -> np.ndarray
     by at most u M_2(r, f) as well. It samples the kept terms on
     _fast_length(default_angular_points(K)) angles, which is at most the
     grid of the whole series since K <= f.degree. Each run of consecutive
-    nodes on one grid (K grows with r, so the runs are few) goes through
-    :func:`_mp_powers_on_nodes` as one polynomial, of the largest K in the
-    run; a run that reaches K = f.degree samples f itself, with the bits of
-    the whole series. A series with real coefficients goes through
-    :func:`_mp_powers_on_node_pairs` instead, two nodes per transform.
+    nodes on one grid (K grows with r, so the runs are few) goes through one
+    kernel as one polynomial, of the largest K in the run:
+    :func:`_mp_powers_on_real_nodes` when the coefficients are real, one
+    real-input transform per node, and :func:`_mp_powers_on_nodes`
+    otherwise. A run that reaches K = f.degree samples f itself, with the
+    bits of that kernel's transform of the whole series: the real transform
+    for a real series, the complex one for a complex series.
     """
-    kernel = _mp_powers_on_nodes if np.any(f.coeffs.imag) else _mp_powers_on_node_pairs
+    kernel = _mp_powers_on_nodes if np.any(f.coeffs.imag) else _mp_powers_on_real_nodes
     K = _effective_degrees(f.coeffs, nodes)
     # default_angular_points(K) of every node at once
     points = np.maximum(default_angular_points(0), 8 * (K + 1))

@@ -207,6 +207,20 @@ def test_khinchine_pair_p1():
     assert rep.lower_const <= rep.upper_const
 
 
+@pytest.mark.parametrize("p", [np.nan, np.inf, 0.5])
+def test_exponents_outside_one_to_inf_are_refused(p):
+    """The exponent guard of the norms covers the Khinchine moments and the
+    averaging profiles; NaN once gave NaN constants marked exact."""
+    for call in (
+        lambda: khinchine_report(np.ones(4), p),
+        lambda: khinchine_ratio(np.ones(4), p),
+        lambda: hardy_psi(p, 8),
+        lambda: bergman_psi(p, 0.0, 8),
+    ):
+        with pytest.raises(ValueError, match=r"must lie in \[1, inf\)"):
+            call()
+
+
 def test_khinchine_p4_exact_rational():
     ratio, exact = khinchine_ratio(np.ones(4), 4.0)
     # E(e0+e1+e2+e3)^4 = 40 over 16 sign patterns; normalized by 4^2

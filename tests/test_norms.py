@@ -440,29 +440,25 @@ def test_dropped_tail_meets_the_stated_bound(f):
 def test_bergman_genfn_samples_under_a_fifth_of_the_full_grid(monkeypatch):
     """The degree-8191 Cesaro generating function: the full-degree grid is
     65536 angles at each of the 64 + 128 nodes, and a node at radius r
-    needs only about 42 / (1 - r) of the terms."""
+    needs only about 42 / (1 - r) of the terms. Its coefficients are real,
+    so its nodes go through rfft, and a transform of n points counts n
+    samples per row."""
     f = generating_function(SequenceSpec.cesaro(8191))
     points = []
-    ifft = np.fft.ifft
 
-    def counting_ifft(a, n=None, axis=-1, **kwargs):
-        out = ifft(a, n=n, axis=axis, **kwargs)
-        points.append(out.size)
-        return out
+    def counting(transform):
+        def run(a, n=None, axis=-1, **kwargs):
+            out = transform(a, n=n, axis=axis, **kwargs)
+            points.append(out.size // out.shape[axis] * (n or a.shape[axis]))
+            return out
 
-    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+        return run
+
+    monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
+    monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft))
     rep = bergman_norm(f, 1.5, 0.5)
     assert rep.grid_points == 65536
     assert 0 < sum(points) < 0.2 * 192 * 65536
-
-
-def _partners(values: np.ndarray) -> np.ndarray:
-    """The value of each node's partner in the pairing 0-1, 2-3, ...; an odd
-    last node is its own."""
-    out = values.copy()
-    pairs = len(values) // 2 * 2
-    out[0:pairs:2], out[1:pairs:2] = values[1:pairs:2], values[0:pairs:2]
-    return out
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,16 +470,14 @@ def _partners(values: np.ndarray) -> np.ndarray:
     st.sampled_from((63, 64, 128)),
     st.booleans(),
 )
-def test_paired_real_rows_match_one_shot_within_few_u(shape, degree, seed, p, count, odd):
-    """Two real nodes per complex transform against one transform per node,
-    on odd and even node counts and odd and even 5-smooth grids.
+def test_real_nodes_match_one_shot_within_few_u(shape, degree, seed, p, count, odd):
+    """One real-input transform per node against one complex transform per
+    node, on odd and even node counts and odd and even 5-smooth grids.
 
-    The split rounds relative to |Z| <= |X_a| + |X_b|, so by Minkowski's
-    inequality M_p(r_a) moves by at most 16 u (M_p(r_a) + M_p(r_b)), r_b the
-    partner of r_a; the worst seen is about 6 u, on monomials, whose
-    partners differ by many orders of magnitude. Within a factor 1/u of
-    the underflow threshold the transform's intermediates go subnormal and
-    round absolutely, so the bound is checked where M_p^p >= tiny / u.
+    Both transforms round relative to the node's own samples, so M_p(r)
+    moves by at most 16 u M_p(r). Within a factor 1/u of the underflow
+    threshold the transforms' intermediates go subnormal and round
+    absolutely, so the bound is checked where M_p^p >= tiny / u.
     """
     if shape == "monomial":
         f = CoeffSeq(np.eye(1, degree + 1, degree)[0])
@@ -494,20 +488,39 @@ def test_paired_real_rows_match_one_shot_within_few_u(shape, degree, seed, p, co
     M = int(next(m for m in norms._smooth_lengths(16) if m >= points and m % 2 == odd))
     ref = _one_shot_mp_powers(f, p, nodes, M)
     normal = ref >= np.finfo(float).tiny / U
-    got = norms._mp_powers_on_node_pairs(f.coeffs, p, nodes, M) ** (1.0 / p)
+    got = norms._mp_powers_on_real_nodes(f.coeffs, p, nodes, M) ** (1.0 / p)
     ref = ref ** (1.0 / p)
-    assert np.all((np.abs(got - ref) <= 16 * U * (ref + _partners(ref)))[normal])
+    assert np.all((np.abs(got - ref) <= 16 * U * ref)[normal])
 
 
-def test_only_real_series_take_the_paired_kernel(monkeypatch):
+@pytest.mark.parametrize("M, divides", [(4096, True), (5120, False)])
+def test_real_nodes_do_not_depend_on_the_chunk_size(M, divides, monkeypatch):
+    """The default chunk, one chunk of every node and chunks of one node
+    give the same bits, where the default row count divides the node
+    counts and where it does not."""
+    rows = max(1, norms._NODE_CHUNK_BYTES // (8 * M))
+    assert (64 % rows == 0 and 128 % rows == 0) == divides
+    a = np.random.default_rng(12).standard_normal(500)
+    for count in (64, 128):
+        nodes, _ = norms._jacobi_rule(0.5, count)
+        for p in (1.5, 2.0, 3.0):
+            got = []
+            for budget in (norms._NODE_CHUNK_BYTES, 8 * M * count, 1):
+                monkeypatch.setattr(norms, "_NODE_CHUNK_BYTES", budget)
+                got.append(norms._mp_powers_on_real_nodes(a, p, nodes, M))
+            monkeypatch.undo()
+            assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+
+def test_only_real_series_take_the_real_kernel(monkeypatch):
     used = []
-    for name in ("_mp_powers_on_nodes", "_mp_powers_on_node_pairs"):
+    for name in ("_mp_powers_on_nodes", "_mp_powers_on_real_nodes"):
         kernel = getattr(norms, name)
         monkeypatch.setattr(norms, name, lambda *a, k=kernel, n=name: used.append(n) or k(*a))
     nodes, _ = norms._jacobi_rule(0.5, 64)
     c = np.random.default_rng(14).standard_normal(300)
     norms._mp_powers_truncated(CoeffSeq(c), 1.5, nodes)
-    assert set(used) == {"_mp_powers_on_node_pairs"}
+    assert set(used) == {"_mp_powers_on_real_nodes"}
     used.clear()
     norms._mp_powers_truncated(CoeffSeq(c + 1j * c[::-1]), 1.5, nodes)
     assert set(used) == {"_mp_powers_on_nodes"}
