@@ -107,8 +107,8 @@ def _profile_evidence(name: str, profile) -> tuple:
 
 def _memberships(eta: SequenceSpec):
     """(membership class, profile) of F at (p, 1/p) as a function of p. F is
-    realized and its blocks sampled once, and every exponent asked for reads
-    those samples."""
+    realized once, its blocks are sampled at most once, at the first
+    exponent other than 2, and every such exponent reads those samples."""
     F = generating_function(eta)
     K = fit_K(eta.truncation, VERDICT_K)
     engine = _BlockEngine(F.coeffs, 2 ** np.arange(1, K + 1))

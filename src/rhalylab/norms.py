@@ -38,15 +38,21 @@ does :func:`hp_norms`, which stacks many series of one degree as the rows
 of that call, at radius 1, and returns the bits of :func:`hp_norm`.
 
 Dyadic block norms ||Delta_N f||_{H^p} go through one evaluator,
-:class:`_BlockEngine`. On |z| = 1 the block is, up to the unimodular factor
+:class:`_BlockEngine`. At p = 2 a block norm is
+(sum_{n=N}^{2N-1} |a_n|^2)^{1/2} by Parseval, with an a-priori rounding
+bound as its delta, as for the A^2_alpha closed form, and nothing is
+sampled. For other p, on |z| = 1 the block is, up to the unimodular factor
 z^N, the length-N polynomial with coefficients a_N .. a_{2N-1}, so each
 block is sampled on its own support rather than zero-padded to the degree
-of f. The samples serve every exponent. For p other than 2 the trapezoid
-rule converges only algebraically when a block has zeros near the circle
-(Trefethen and Weideman, SIAM Review 56, 2014), so a block whose
-refinement delta exceeds :data:`REFINEMENT_FLAG` is resampled on a doubled
-grid until it resolves or a fixed doubling budget runs out; the worst
-delta is reported with the values.
+of f. The samples serve every exponent. A block with real coefficients
+takes |.| on half the circle, from one real-input transform, since its
+modulus is even in the angle, and a doubled grid transforms only the new
+rows whose mirror images it lacks, half of them past the first doubling. The
+trapezoid rule converges only algebraically when a block has zeros near
+the circle (Trefethen and Weideman, SIAM Review 56, 2014), so a block
+whose refinement delta exceeds :data:`REFINEMENT_FLAG` is resampled on a
+doubled grid until it resolves or a fixed doubling budget runs out; the
+worst delta is reported with the values.
 """
 
 from __future__ import annotations
@@ -130,34 +136,64 @@ _BLOCK_DOUBLINGS = 4
 class _BlockEngine:
     """H^p norms of the blocks coeffs[N:2N] of one series, for any p >= 1.
 
-    Block N starts on 2M angles, M = max(1024, 8N), from one FFT. The value
-    is the trapezoid rule on all of them. Its refinement delta is the
-    largest relative change against the four rules on every fourth angle:
-    the grid of a quarter the size, at four quarter-step shifts. For a real
-    integrand g, the unshifted and the half-shifted coarse rules differ from
-    the fine one only through Re g^(m) of the first aliased Fourier
-    coefficient (m the coarse size), which can vanish by its phase; the
-    quarter shifts also see Im g^(m). A doubling keeps the samples it has
-    and adds the midpoints from FFTs of the starting length on shifted
-    grids, so no transform grows past 2M. The |Delta_N f| samples are kept,
-    so each further exponent costs one power and four sums per block, and a
-    block refined for one exponent stays refined for the next.
+    At p = 2 the trapezoid rule on the 2M >= 2N angles of block N below is
+    exact for |Delta_N f|^2, so the value is (sum_{n=N}^{2N-1} |a_n|^2)^{1/2}
+    by Parseval, and the delta is an a-priori rounding bound. To first order
+    in u, the unit roundoff, each |a_n|^2 is within 2u, the sum of N
+    nonnegative terms adds (N - 1) u, and the square root halves that and
+    adds u: (N + 3)/2 u. The report states (N + 2) u for the largest N,
+    which leaves room for the second-order terms. No block is sampled until
+    some other p is asked for.
+
+    For p != 2, block N starts on P = 2M angles, M = max(1024, 8N), from
+    one FFT. The value is the trapezoid rule on all of them. Its refinement
+    delta is the largest relative change against the four rules on every
+    fourth angle: the grid of a quarter the size, at four quarter-step
+    shifts. For a real integrand g, the unshifted and the half-shifted
+    coarse rules differ from the fine one only through Re g^(m) of the first
+    aliased Fourier coefficient (m the coarse size), which can vanish by its
+    phase; the quarter shifts also see Im g^(m). A doubling keeps the
+    samples it has and adds the midpoints from FFTs of the starting length
+    on shifted grids, so no transform grows past P.
+
+    A block with real coefficients has |Delta_N f(e^{-it})| =
+    |Delta_N f(e^{it})|. Its starting row is the P/2 + 1 distinct samples
+    of one real-input FFT, and the four quarter-grid sums follow from them.
+    On a grid of F rows, row F - r is row r reversed. A doubling to 2F rows
+    adds the odd rows k = 1, 3, .., 2F - 1, and those with k > F mirror rows
+    with k < F, so every doubling past the first transforms half its new
+    rows. Each row keeps its sums of |Delta_N f|^p over the entries
+    q = 0, 1, 2, 3 mod 4 for every exponent asked, so a doubling raises only
+    its new rows to p, each further exponent costs one power and four sums
+    per row, and a block refined for one exponent stays refined for the
+    next.
     """
 
     def __init__(self, coeffs: np.ndarray, Ns):
         self.Ns = [int(N) for N in Ns]
-        self._blocks = [coeffs[N : 2 * N] for N in self.Ns]
+        self._blocks = [
+            b if np.any(b.imag) else np.ascontiguousarray(b.real)
+            for b in (coeffs[N : 2 * N] for N in self.Ns)
+        ]
         self._points = [2 * default_angular_points(N - 1) for N in self.Ns]
-        # block i on F * points angles, kept as F arrays: row r holds the
+        # block i on F * points angles, kept as F rows: row r holds the
         # starting grid shifted by r steps of the fine grid, so a doubling
-        # adds rows and copies none
-        self._rows = [[_abs_samples(b, n)] for b, n in zip(self._blocks, self._points)]
+        # adds rows and copies none; sampled at the first p != 2
+        self._rows: list[list[_Row]] | None = None
         self._doublings = [0] * len(self.Ns)
 
     def norms(self, p: float) -> tuple[np.ndarray, float]:
         """||Delta_N f||_{H^p} for every N on its finest grid, and the worst
         refinement delta over the blocks."""
         _require_exponent("p", p)
+        if p == 2:
+            values = np.array([np.sqrt(np.vdot(b, b).real) for b in self._blocks])
+            return values, (max(self.Ns) + 2) * _UNIT_ROUNDOFF
+        if self._rows is None:
+            self._rows = [
+                [_Row(_abs_samples(b, n), half=np.isrealobj(b))]
+                for b, n in zip(self._blocks, self._points)
+            ]
         values = np.empty(len(self.Ns))
         worst = 0.0
         for i in range(len(self.Ns)):
@@ -178,35 +214,81 @@ class _BlockEngine:
     def _class_sums(self, i: int, p: float) -> list[float]:
         """Sums of |Delta_N f|^p over the fine-grid angles k = j mod 4, j = 0..3.
 
-        Angle k = q F + r of the fine grid is entry q of row r. With
-        g = min(F, 4), row r meets the classes j = r mod g, each in every
-        (4 / g)-th entry.
+        Angle k = q F + r of the fine grid is entry q of row r, so the
+        entries q = m mod 4 of row r lie in class (m F + r) mod 4.
         """
         rows = self._rows[i]
-        g = min(len(rows), 4)
-        stride = 4 // g
         sums = [0.0] * 4
         for r, row in enumerate(rows):
-            for j in range(r % g, 4, g):
-                sums[j] += float(np.sum(row[(j - r) // g % stride :: stride] ** p))
+            for m, x in enumerate(row.quarter_sums(p)):
+                sums[(m * len(rows) + r) % 4] += x
         return sums
 
     def _double(self, i: int) -> None:
-        """Twice the grid: each row r becomes rows 2r and 2r + 1, the new one
-        shifted by half a step of the old fine grid."""
+        """Twice the grid: each row r becomes row 2r, and the new row 2r + 1
+        is shifted by half a step of the old fine grid. For a real block,
+        new row k past F mirrors row 2F - k, which the loop has made."""
         rows = self._rows[i]
-        step = np.pi / (len(rows) * self._points[i])
-        self._rows[i] = [
-            row
-            for r, old in enumerate(rows)
-            for row in (old, _abs_samples(self._blocks[i], self._points[i], (2 * r + 1) * step))
-        ]
+        F = len(rows)
+        block, points = self._blocks[i], self._points[i]
+        real = np.isrealobj(block)
+        step = np.pi / (F * points)
+        new = []
+        for r, row in enumerate(rows):
+            k = 2 * r + 1
+            if real and k > F:
+                new += [row, _Row(mirror=new[2 * F - k])]
+            else:
+                new += [row, _Row(_abs_samples(block, points, k * step))]
+        self._rows[i] = new
+
+
+class _Row:
+    """One row of a block's grid: its |Delta_N f| samples, or the row it is
+    the reverse of, with its sums of |Delta_N f|^p over the entries
+    q = m mod 4, m = 0..3, kept per exponent."""
+
+    def __init__(self, samples: np.ndarray | None = None, half: bool = False,
+                 mirror: _Row | None = None):
+        self._samples, self._half, self._mirror = samples, half, mirror
+        self._sums: dict[float, tuple[float, ...]] = {}
+
+    def quarter_sums(self, p: float) -> tuple[float, ...]:
+        sums = self._sums.get(p)
+        if sums is None:
+            if self._mirror is not None:
+                # entry q is entry P - 1 - q of the mirror, and P = 0 mod 4
+                sums = self._mirror.quarter_sums(p)[::-1]
+            elif self._half:
+                # samples q = 0 .. P/2 of a row whose entry P - q equals
+                # entry q; 0 and P/2 = 0 mod 4 stand once, P - q = -q mod 4
+                w = self._samples**p
+                h = len(w) - 1
+                odd = float(np.sum(w[1:h:2]))
+                sums = (
+                    2.0 * float(np.sum(w[0:h:4])) - float(w[0]) + float(w[h]),
+                    odd,
+                    2.0 * float(np.sum(w[2:h:4])),
+                    odd,
+                )
+            else:
+                w = self._samples**p
+                sums = tuple(float(np.sum(w[m::4])) for m in range(4))
+            self._sums[p] = sums
+        return sums
 
 
 def _abs_samples(block: np.ndarray, points: int, shift: float = 0.0) -> np.ndarray:
-    """|sum_k b_k e^{i k (theta_j + shift)}| on `points` equispaced angles theta_j."""
+    """|sum_k b_k e^{i k (theta_j + shift)}| on `points` equispaced angles theta_j.
+
+    A real block with no shift samples |B(-theta)| = |B(theta)|, so only
+    j = 0 .. points // 2 are returned, from one real-input FFT (np.fft.rfft
+    samples the angles -theta_j, which give the same values).
+    """
     if shift:
         block = block * np.exp(1j * shift * np.arange(len(block)))
+    elif np.isrealobj(block):
+        return np.abs(np.fft.rfft(block, n=points))
     out = np.abs(np.fft.ifft(block, n=points))
     out *= points
     return out
@@ -380,32 +462,41 @@ _UNIT_ROUNDOFF = 2.0**-53
 _TERM_BLOCKS = 512
 
 
-def _effective_degrees(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """For every node r, the smallest K with
-
-        (max_{n>K} |a_n|) r^{K+1} / (1 - r) <= u m(r),
-
-    u the unit roundoff. The left side bounds sum_{n>K} |a_n| r^n, the tail
-    that K drops. m(r) is the largest of (max_{n in I} |a_n|) r^{max I} over
-    about _TERM_BLOCKS index blocks I, geometric in n (single indices at
-    the start), so m(r) <= max_n |a_n| r^n <= M_2(r, f). Dropping the tail
-    therefore moves f(r e^{it}) by at most u M_2(r, f) at every angle. The
-    left side does not grow with K, so one bisection serves all nodes.
-    """
+def _term_bounds(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The part of :func:`_effective_degrees` that does not depend on the
+    nodes, computed once per series: tail[K] = log max_{n>K} |a_n| (-inf at
+    K = D, the degree), and the last index and log max |a_n| of each of
+    about _TERM_BLOCKS index blocks, geometric in n (single indices at the
+    start)."""
     D = len(coeffs) - 1
     absc = np.abs(coeffs)
     with np.errstate(divide="ignore"):
-        # tail[K] = log max_{n>K} |a_n|, -inf at K = D
         tail = np.full(D + 1, -np.inf)
         tail[:-1] = np.log(np.maximum.accumulate(absc[:0:-1])[::-1])
         starts = np.unique(np.geomspace(1.0, D + 1.0, _TERM_BLOCKS).astype(np.int64)) - 1
         log_block = np.log(np.maximum.reduceat(absc, starts))
     ends = np.append(starts[1:] - 1, D)
+    return tail, ends, log_block
+
+
+def _effective_degrees(bounds: tuple, nodes: np.ndarray) -> np.ndarray:
+    """For every node r, the smallest K with
+
+        (max_{n>K} |a_n|) r^{K+1} / (1 - r) <= u m(r),
+
+    u the unit roundoff, from the :func:`_term_bounds` of a_0 .. a_D. The
+    left side bounds sum_{n>K} |a_n| r^n, the tail that K drops. m(r) is the
+    largest of (max_{n in I} |a_n|) r^{max I} over the index blocks I, so
+    m(r) <= max_n |a_n| r^n <= M_2(r, f). Dropping the tail therefore moves
+    f(r e^{it}) by at most u M_2(r, f) at every angle. The left side does
+    not grow with K, so one bisection serves all nodes.
+    """
+    tail, ends, log_block = bounds
     log_r = np.log(nodes)
     log_m = np.max(log_block + log_r[:, None] * ends, axis=1)
     bound = np.log(_UNIT_ROUNDOFF) + log_m + np.log1p(-nodes)
     lo = np.zeros(len(nodes), dtype=np.int64)
-    hi = np.full(len(nodes), D, dtype=np.int64)
+    hi = np.full(len(nodes), len(tail) - 1, dtype=np.int64)
     while np.any(lo < hi):
         mid = (lo + hi) // 2
         ok = tail[mid] + (mid + 1) * log_r <= bound
@@ -414,11 +505,13 @@ def _effective_degrees(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _mp_powers_truncated(f: CoeffSeq, p: float, nodes: np.ndarray) -> np.ndarray:
+def _mp_powers_truncated(f: CoeffSeq, p: float, nodes: np.ndarray, bounds: tuple) -> np.ndarray:
     """M_p^p(r, f) for every radius r in nodes, each sampled only to its
     effective degree.
 
-    Node r keeps a_0 .. a_K, K from :func:`_effective_degrees`, which moves
+    Node r keeps a_0 .. a_K, K from :func:`_effective_degrees` and
+    ``bounds``, the :func:`_term_bounds` of f.coeffs, which a radial norm
+    computes once for both of its rules. Dropping the tail moves
     every sample by at most u M_2(r, f) (u the unit roundoff), so M_p(r, f)
     by at most u M_2(r, f) as well. It samples the kept terms on
     _fast_length(default_angular_points(K)) angles, which is at most the
@@ -432,7 +525,7 @@ def _mp_powers_truncated(f: CoeffSeq, p: float, nodes: np.ndarray) -> np.ndarray
     for a real series, the complex one for a complex series.
     """
     kernel = _mp_powers_on_nodes if np.any(f.coeffs.imag) else _mp_powers_on_real_nodes
-    K = _effective_degrees(f.coeffs, nodes)
+    K = _effective_degrees(bounds, nodes)
     # default_angular_points(K) of every node at once
     points = np.maximum(default_angular_points(0), 8 * (K + 1))
     smooth = _smooth_lengths((int(points.max()) - 1).bit_length())
@@ -508,10 +601,11 @@ def _bergman_quadrature(f: CoeffSeq, p: float, alpha: float) -> NormReport:
     uses.
     """
     M = _fast_length(default_angular_points(f.degree))
+    bounds = _term_bounds(f.coeffs)
 
     def value(n: int) -> float:
         r, w = _jacobi_rule(alpha, n)
-        means = _mp_powers_truncated(f, p, r)
+        means = _mp_powers_truncated(f, p, r, bounds)
         integrand = 2.0 * r * (1.0 + r) ** alpha * means
         return float((alpha + 1.0) * np.dot(w, integrand)) ** (1.0 / p)
 
@@ -543,10 +637,11 @@ def xqp_norm(f: CoeffSeq, q: float, p: float) -> NormReport:
     a = p * (1.0 - 1.0 / q)
     fp = derivative(f)
     M = _fast_length(default_angular_points(fp.degree))
+    bounds = _term_bounds(fp.coeffs)
 
     def value(n: int) -> float:
         r, w = _jacobi_rule(a, n)
-        means = _mp_powers_truncated(fp, q, r) ** (p / q)
+        means = _mp_powers_truncated(fp, q, r, bounds) ** (p / q)
         return float(abs(f.coeff(0)) ** p + np.dot(w, means)) ** (1.0 / p)
 
     return _refined(value, DEFAULT_RADIAL_NODES, M, DEFAULT_RADIAL_NODES)

@@ -93,6 +93,20 @@ def test_p_above_two_realizes_and_samples_once(monkeypatch):
         assert 0.0 <= ev["refinement_delta"] <= 1e-6
 
 
+def test_p_two_verdicts_sample_no_block(monkeypatch):
+    """At p = 2 every block norm is its coefficient sum by Parseval."""
+    from rhalylab import norms
+
+    def refuse(*args):
+        raise AssertionError("a block was sampled at p = 2")
+
+    monkeypatch.setattr(norms, "_abs_samples", refuse)
+    for eta in (SequenceSpec.cesaro(TRUNC), SequenceSpec.power_law(1.0, 0.6, TRUNC)):
+        assert not classify_hardy(eta, 2.0).unresolved
+        assert not classify_bergman(eta, 2.0, 0.0).unresolved
+        assert not classify_bergman(eta, 2.0, 1.0).unresolved
+
+
 def test_unresolved_profile_is_inconclusive(monkeypatch):
     from rhalylab import norms
 
