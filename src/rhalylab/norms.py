@@ -237,20 +237,22 @@ class _BlockEngine:
         for r, row in enumerate(rows):
             k = 2 * r + 1
             if real and k > F:
-                new += [row, _Row(mirror=new[2 * F - k])]
+                src = new[2 * F - k]
+                new += [row, _Row(src.samples[::-1], mirror=src)]
             else:
                 new += [row, _Row(_abs_samples(block, points, k * step))]
         self._rows[i] = new
 
 
 class _Row:
-    """One row of a block's grid: its |Delta_N f| samples, or the row it is
-    the reverse of, with its sums of |Delta_N f|^p over the entries
-    q = m mod 4, m = 0..3, kept per exponent."""
+    """One row of a block's grid: its |Delta_N f| samples, with their sums of
+    |Delta_N f|^p over the entries q = m mod 4, m = 0..3, kept per
+    exponent. A half row holds entries q = 0 .. P/2 of a row whose entry
+    P - q equals entry q. A mirrored row is the reverse of row `mirror`
+    and takes its sums from it."""
 
-    def __init__(self, samples: np.ndarray | None = None, half: bool = False,
-                 mirror: _Row | None = None):
-        self._samples, self._half, self._mirror = samples, half, mirror
+    def __init__(self, samples: np.ndarray, half: bool = False, mirror: _Row | None = None):
+        self.samples, self._half, self._mirror = samples, half, mirror
         self._sums: dict[float, tuple[float, ...]] = {}
 
     def quarter_sums(self, p: float) -> tuple[float, ...]:
@@ -260,9 +262,8 @@ class _Row:
                 # entry q is entry P - 1 - q of the mirror, and P = 0 mod 4
                 sums = self._mirror.quarter_sums(p)[::-1]
             elif self._half:
-                # samples q = 0 .. P/2 of a row whose entry P - q equals
-                # entry q; 0 and P/2 = 0 mod 4 stand once, P - q = -q mod 4
-                w = self._samples**p
+                # 0 and P/2 = 0 mod 4 stand once, and P - q = -q mod 4
+                w = self.samples**p
                 h = len(w) - 1
                 odd = float(np.sum(w[1:h:2]))
                 sums = (
@@ -272,7 +273,7 @@ class _Row:
                     odd,
                 )
             else:
-                w = self._samples**p
+                w = self.samples**p
                 sums = tuple(float(np.sum(w[m::4])) for m in range(4))
             self._sums[p] = sums
         return sums
@@ -462,41 +463,32 @@ _UNIT_ROUNDOFF = 2.0**-53
 _TERM_BLOCKS = 512
 
 
-def _term_bounds(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The part of :func:`_effective_degrees` that does not depend on the
-    nodes, computed once per series: tail[K] = log max_{n>K} |a_n| (-inf at
-    K = D, the degree), and the last index and log max |a_n| of each of
-    about _TERM_BLOCKS index blocks, geometric in n (single indices at the
-    start)."""
+def _effective_degrees(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """For every node r, the smallest K with
+
+        (max_{n>K} |a_n|) r^{K+1} / (1 - r) <= u m(r),
+
+    u the unit roundoff. The left side bounds sum_{n>K} |a_n| r^n, the tail
+    that K drops. m(r) is the largest of (max_{n in I} |a_n|) r^{max I} over
+    about _TERM_BLOCKS index blocks I, geometric in n (single indices at
+    the start), so m(r) <= max_n |a_n| r^n <= M_2(r, f). Dropping the tail
+    therefore moves f(r e^{it}) by at most u M_2(r, f) at every angle. The
+    left side does not grow with K, so one bisection serves all nodes.
+    """
     D = len(coeffs) - 1
     absc = np.abs(coeffs)
     with np.errstate(divide="ignore"):
+        # tail[K] = log max_{n>K} |a_n|, -inf at K = D
         tail = np.full(D + 1, -np.inf)
         tail[:-1] = np.log(np.maximum.accumulate(absc[:0:-1])[::-1])
         starts = np.unique(np.geomspace(1.0, D + 1.0, _TERM_BLOCKS).astype(np.int64)) - 1
         log_block = np.log(np.maximum.reduceat(absc, starts))
     ends = np.append(starts[1:] - 1, D)
-    return tail, ends, log_block
-
-
-def _effective_degrees(bounds: tuple, nodes: np.ndarray) -> np.ndarray:
-    """For every node r, the smallest K with
-
-        (max_{n>K} |a_n|) r^{K+1} / (1 - r) <= u m(r),
-
-    u the unit roundoff, from the :func:`_term_bounds` of a_0 .. a_D. The
-    left side bounds sum_{n>K} |a_n| r^n, the tail that K drops. m(r) is the
-    largest of (max_{n in I} |a_n|) r^{max I} over the index blocks I, so
-    m(r) <= max_n |a_n| r^n <= M_2(r, f). Dropping the tail therefore moves
-    f(r e^{it}) by at most u M_2(r, f) at every angle. The left side does
-    not grow with K, so one bisection serves all nodes.
-    """
-    tail, ends, log_block = bounds
     log_r = np.log(nodes)
     log_m = np.max(log_block + log_r[:, None] * ends, axis=1)
     bound = np.log(_UNIT_ROUNDOFF) + log_m + np.log1p(-nodes)
     lo = np.zeros(len(nodes), dtype=np.int64)
-    hi = np.full(len(nodes), len(tail) - 1, dtype=np.int64)
+    hi = np.full(len(nodes), D, dtype=np.int64)
     while np.any(lo < hi):
         mid = (lo + hi) // 2
         ok = tail[mid] + (mid + 1) * log_r <= bound
@@ -505,13 +497,11 @@ def _effective_degrees(bounds: tuple, nodes: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _mp_powers_truncated(f: CoeffSeq, p: float, nodes: np.ndarray, bounds: tuple) -> np.ndarray:
+def _mp_powers_truncated(f: CoeffSeq, p: float, nodes: np.ndarray) -> np.ndarray:
     """M_p^p(r, f) for every radius r in nodes, each sampled only to its
     effective degree.
 
-    Node r keeps a_0 .. a_K, K from :func:`_effective_degrees` and
-    ``bounds``, the :func:`_term_bounds` of f.coeffs, which a radial norm
-    computes once for both of its rules. Dropping the tail moves
+    Node r keeps a_0 .. a_K, K from :func:`_effective_degrees`, which moves
     every sample by at most u M_2(r, f) (u the unit roundoff), so M_p(r, f)
     by at most u M_2(r, f) as well. It samples the kept terms on
     _fast_length(default_angular_points(K)) angles, which is at most the
@@ -525,7 +515,7 @@ def _mp_powers_truncated(f: CoeffSeq, p: float, nodes: np.ndarray, bounds: tuple
     for a real series, the complex one for a complex series.
     """
     kernel = _mp_powers_on_nodes if np.any(f.coeffs.imag) else _mp_powers_on_real_nodes
-    K = _effective_degrees(bounds, nodes)
+    K = _effective_degrees(f.coeffs, nodes)
     # default_angular_points(K) of every node at once
     points = np.maximum(default_angular_points(0), 8 * (K + 1))
     smooth = _smooth_lengths((int(points.max()) - 1).bit_length())
@@ -601,11 +591,10 @@ def _bergman_quadrature(f: CoeffSeq, p: float, alpha: float) -> NormReport:
     uses.
     """
     M = _fast_length(default_angular_points(f.degree))
-    bounds = _term_bounds(f.coeffs)
 
     def value(n: int) -> float:
         r, w = _jacobi_rule(alpha, n)
-        means = _mp_powers_truncated(f, p, r, bounds)
+        means = _mp_powers_truncated(f, p, r)
         integrand = 2.0 * r * (1.0 + r) ** alpha * means
         return float((alpha + 1.0) * np.dot(w, integrand)) ** (1.0 / p)
 
@@ -637,11 +626,10 @@ def xqp_norm(f: CoeffSeq, q: float, p: float) -> NormReport:
     a = p * (1.0 - 1.0 / q)
     fp = derivative(f)
     M = _fast_length(default_angular_points(fp.degree))
-    bounds = _term_bounds(fp.coeffs)
 
     def value(n: int) -> float:
         r, w = _jacobi_rule(a, n)
-        means = _mp_powers_truncated(fp, q, r, bounds) ** (p / q)
+        means = _mp_powers_truncated(fp, q, r) ** (p / q)
         return float(abs(f.coeff(0)) ** p + np.dot(w, means)) ** (1.0 / p)
 
     return _refined(value, DEFAULT_RADIAL_NODES, M, DEFAULT_RADIAL_NODES)

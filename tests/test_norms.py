@@ -394,9 +394,8 @@ def test_truncated_nodes_match_full_series_within_few_u(shape, degree, seed, p, 
     is exact on every grid used, so the full-degree grid agrees too."""
     f = _series(shape, degree, seed)
     nodes, _ = norms._jacobi_rule(alpha, 64)
-    bounds = norms._term_bounds(f.coeffs)
-    got = norms._mp_powers_truncated(f, p, nodes, bounds)
-    K = norms._effective_degrees(bounds, nodes)
+    got = norms._mp_powers_truncated(f, p, nodes)
+    K = norms._effective_degrees(f.coeffs, nodes)
     grids = [norms._fast_length(norms.default_angular_points(int(k))) for k in K]
     own = np.array([_one_shot_mp_powers(f, p, nodes[i : i + 1], M)[0] for i, M in enumerate(grids)])
     assert np.all(np.abs(got - own) <= 8 * U * own)
@@ -426,7 +425,7 @@ def test_dropped_tail_meets_the_stated_bound(f):
     for alpha in (0.0, 0.5, 2.5):
         for count in (64, 128):
             nodes, _ = norms._jacobi_rule(alpha, count)
-            K = norms._effective_degrees(norms._term_bounds(f.coeffs), nodes)
+            K = norms._effective_degrees(f.coeffs, nodes)
             assert np.all((0 <= K) & (K <= f.degree))
             for r, k in zip(nodes, K):
                 terms = a * r**n
@@ -521,66 +520,11 @@ def test_only_real_series_take_the_real_kernel(monkeypatch):
         monkeypatch.setattr(norms, name, lambda *a, k=kernel, n=name: used.append(n) or k(*a))
     nodes, _ = norms._jacobi_rule(0.5, 64)
     c = np.random.default_rng(14).standard_normal(300)
-    f = CoeffSeq(c)
-    norms._mp_powers_truncated(f, 1.5, nodes, norms._term_bounds(f.coeffs))
+    norms._mp_powers_truncated(CoeffSeq(c), 1.5, nodes)
     assert set(used) == {"_mp_powers_on_real_nodes"}
     used.clear()
-    f = CoeffSeq(c + 1j * c[::-1])
-    norms._mp_powers_truncated(f, 1.5, nodes, norms._term_bounds(f.coeffs))
+    norms._mp_powers_truncated(CoeffSeq(c + 1j * c[::-1]), 1.5, nodes)
     assert set(used) == {"_mp_powers_on_nodes"}
-
-
-def _effective_degrees_reference(coeffs, nodes):
-    """_effective_degrees as one function of the coefficients and the nodes,
-    rebuilding the node-independent bounds on every call."""
-    D = len(coeffs) - 1
-    absc = np.abs(coeffs)
-    with np.errstate(divide="ignore"):
-        tail = np.full(D + 1, -np.inf)
-        tail[:-1] = np.log(np.maximum.accumulate(absc[:0:-1])[::-1])
-        starts = np.unique(np.geomspace(1.0, D + 1.0, norms._TERM_BLOCKS).astype(np.int64)) - 1
-        log_block = np.log(np.maximum.reduceat(absc, starts))
-    ends = np.append(starts[1:] - 1, D)
-    log_r = np.log(nodes)
-    log_m = np.max(log_block + log_r[:, None] * ends, axis=1)
-    bound = np.log(U) + log_m + np.log1p(-nodes)
-    lo = np.zeros(len(nodes), dtype=np.int64)
-    hi = np.full(len(nodes), D, dtype=np.int64)
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        ok = tail[mid] + (mid + 1) * log_r <= bound
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid + 1)
-    return hi
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from(("geometric", "derivative", "flat")),
-    st.integers(0, 3000),
-    st.integers(0, 2**32 - 1),
-    st.lists(st.floats(1e-3, 1.0 - 1e-9), min_size=1, max_size=40),
-)
-def test_term_bounds_once_give_the_reference_degrees(shape, degree, seed, radii):
-    """One set of bounds serves every node set of a series, with the K of
-    the per-call reference, on the radial rules and on random nodes."""
-    f = _series(shape, degree, seed)
-    bounds = norms._term_bounds(f.coeffs)
-    node_sets = [norms._jacobi_rule(0.5, n)[0] for n in (64, 128)] + [np.sort(radii)]
-    for nodes in node_sets:
-        got = norms._effective_degrees(bounds, nodes)
-        assert np.array_equal(got, _effective_degrees_reference(f.coeffs, nodes))
-
-
-def test_radial_norms_take_the_term_bounds_once(monkeypatch):
-    calls = []
-    term_bounds = norms._term_bounds
-    monkeypatch.setattr(norms, "_term_bounds", lambda c: calls.append(len(c)) or term_bounds(c))
-    f = generating_function(SequenceSpec.power_law(1.3, 0.7, 1023))
-    bergman_norm(f, 1.5, 0.5)
-    dirichlet_norm(f, 3.0, 1.0)
-    xqp_norm(f, 1.5, 2.0)
-    assert calls == [1024, 1023, 1023]
 
 
 def _block_series(kind: str, seed: int, degree: int = 2047) -> np.ndarray:
@@ -622,7 +566,7 @@ def test_real_blocks_match_their_complex_rotation(kind, seed, p):
 @pytest.mark.parametrize("doublings", range(norms._BLOCK_DOUBLINGS + 1))
 def test_real_blocks_match_their_complex_rotation_after_each_doubling(monkeypatch, doublings):
     """With no block ever resolved, every block takes exactly the doubling
-    budget, so rows 0 .. 2^doublings - 1 and all their mirrors are read."""
+    budget, so rows 0 .. 2^doublings - 1, mirrored ones included, are read."""
     monkeypatch.setattr(norms, "REFINEMENT_FLAG", -1.0)
     monkeypatch.setattr(norms, "_BLOCK_DOUBLINGS", doublings)
     c = _block_series("signed", 4, 511)
@@ -633,6 +577,32 @@ def test_real_blocks_match_their_complex_rotation_after_each_doubling(monkeypatc
         assert real._doublings == turned._doublings == [doublings] * len(Ns)
         assert np.all(np.abs(a - b) <= 8 * U * b)
         assert abs(da - db) <= 64 * U
+
+
+def test_real_block_rows_are_the_rows_at_their_shifts(monkeypatch):
+    """After the full doubling budget, row k of a real block, sampled or
+    mirrored, is |Delta_N f| on the starting grid shifted by k fine steps,
+    and its sums over the entries q = m mod 4 are those of that row; the
+    starting row holds its first P/2 + 1 entries. From four rows on a row
+    meets one class only, so the norms alone would not see a mirrored row
+    whose sums are in the wrong order."""
+    monkeypatch.setattr(norms, "REFINEMENT_FLAG", -1.0)
+    c = _block_series("signed", 6, 511)
+    Ns = 2 ** np.arange(1, 9)
+    engine = norms._BlockEngine(c, Ns)
+    engine.norms(1.5)
+    for i, N in enumerate(Ns):
+        rows, P = engine._rows[i], engine._points[i]
+        F = len(rows)
+        assert F == 2**norms._BLOCK_DOUBLINGS
+        block = c[N : 2 * N].astype(complex)
+        for k, row in enumerate(rows):
+            expected = norms._abs_samples(block, P, 2 * np.pi * k / (F * P))
+            sums = [np.sum(expected[m::4] ** 1.5) for m in range(4)]
+            if k == 0:
+                expected = expected[: P // 2 + 1]
+            assert np.max(np.abs(row.samples - expected)) <= 64 * U * np.max(expected)
+            assert np.allclose(row.quarter_sums(1.5), sums, rtol=64 * U, atol=0)
 
 
 def test_block_engine_samples_only_for_p_other_than_two(monkeypatch):
