@@ -203,6 +203,8 @@ def h1_necessary(eta: SequenceSpec, Ns) -> Verdict:
     blocks of F' left unresolved also end there, unless (a) decides.
     """
     Ns = np.asarray(Ns, dtype=int)
+    if Ns.ndim != 1 or len(Ns) < 2 or np.any(np.diff(Ns) <= 0):
+        raise ValueError("Ns must list at least two block sizes, increasing")
     if np.any(Ns < 2) or np.any(2 ** np.round(np.log2(Ns)).astype(int) != Ns):
         raise ValueError("Ns must be dyadic and >= 2")
     if Ns.max() > eta.truncation:

@@ -44,15 +44,21 @@ bound as its delta, as for the A^2_alpha closed form, and nothing is
 sampled. For other p, on |z| = 1 the block is, up to the unimodular factor
 z^N, the length-N polynomial with coefficients a_N .. a_{2N-1}, so each
 block is sampled on its own support rather than zero-padded to the degree
-of f. The samples serve every exponent. A block with real coefficients
-takes |.| on half the circle, from one real-input transform, since its
-modulus is even in the angle, and a doubled grid transforms only the new
-rows whose mirror images it lacks, half of them past the first doubling. The
-trapezoid rule converges only algebraically when a block has zeros near
-the circle (Trefethen and Weideman, SIAM Review 56, 2014), so a block
-whose refinement delta exceeds :data:`REFINEMENT_FLAG` is resampled on a
-doubled grid until it resolves or a fixed doubling budget runs out; the
-worst delta is reported with the values.
+of f. Each block keeps one array, |Delta_N f| on its finest grid in angle
+order, and per exponent its sums of |Delta_N f|^p over the four classes of
+angle indices mod 4, so the samples serve every exponent. A block with real
+coefficients keeps half the circle, from one real-input transform, since
+its modulus is even in the angle. A doubling adds the odd angles from one
+batched transform of the starting length, and updates the class sums by one
+rule: old classes 0 and 2 become class 0, old classes 1 and 3 class 2, and
+the new samples fill classes 1 and 3. Past the first doubling a real block
+transforms half of the new rows and takes the rest by a mirror slice, each
+a reversed row of the ones it transformed. The trapezoid rule converges
+only algebraically when a block has zeros near the circle (Trefethen and
+Weideman, SIAM Review 56, 2014), so a block whose refinement delta exceeds
+:data:`REFINEMENT_FLAG` is resampled on a doubled grid until it resolves or
+a fixed doubling budget runs out; the worst delta is reported with the
+values.
 """
 
 from __future__ import annotations
@@ -152,21 +158,24 @@ class _BlockEngine:
     shifts. For a real integrand g, the unshifted and the half-shifted
     coarse rules differ from the fine one only through Re g^(m) of the first
     aliased Fourier coefficient (m the coarse size), which can vanish by its
-    phase; the quarter shifts also see Im g^(m). A doubling keeps the
-    samples it has and adds the midpoints from FFTs of the starting length
-    on shifted grids, so no transform grows past P.
+    phase; the quarter shifts also see Im g^(m).
 
-    A block with real coefficients has |Delta_N f(e^{-it})| =
-    |Delta_N f(e^{it})|. Its starting row is the P/2 + 1 distinct samples
-    of one real-input FFT, and the four quarter-grid sums follow from them.
-    On a grid of F rows, row F - r is row r reversed. A doubling to 2F rows
-    adds the odd rows k = 1, 3, .., 2F - 1, and those with k > F mirror rows
-    with k < F, so every doubling past the first transforms half its new
-    rows. Each row keeps its sums of |Delta_N f|^p over the entries
-    q = 0, 1, 2, 3 mod 4 for every exponent asked, so a doubling raises only
-    its new rows to p, each further exponent costs one power and four sums
-    per row, and a block refined for one exponent stays refined for the
-    next.
+    Each block keeps one array, |Delta_N f| on its finest grid of L angles
+    in angle order, and for every exponent asked the sums of |Delta_N f|^p
+    over its four classes, the angles k = j mod 4. A block with real
+    coefficients has |Delta_N f(e^{-it})| = |Delta_N f(e^{it})|, so it keeps
+    entries 0 .. L/2 only, starting from one real-input FFT; its classes 1
+    and 3 are equal. A doubling to 2L angles keeps the samples it has as the
+    even entries and adds the odd ones, angle (2j + 1) pi / L, from one
+    batched FFT of the starting length, so no transform grows past P: with
+    F = L/P and j = q F + r, these are entry q of the rows r = 0 .. F - 1 at
+    shifts (2r + 1) pi / L, read in transposed order. Old classes 0 and 2
+    become class 0, old classes 1 and 3 class 2, and the new samples fill
+    classes 1 and 3, so a doubling raises only its new samples to each
+    exponent. For a real block, entry q of row F - 1 - r is entry P - 1 - q
+    of row r, so it transforms the rows r < max(F/2, 1) and takes the rest
+    by that mirror slice, and it keeps the odd entries below L. A block
+    refined for one exponent stays refined for the next.
     """
 
     def __init__(self, coeffs: np.ndarray, Ns):
@@ -176,10 +185,10 @@ class _BlockEngine:
             for b in (coeffs[N : 2 * N] for N in self.Ns)
         ]
         self._points = [2 * default_angular_points(N - 1) for N in self.Ns]
-        # block i on F * points angles, kept as F rows: row r holds the
-        # starting grid shifted by r steps of the fine grid, so a doubling
-        # adds rows and copies none; sampled at the first p != 2
-        self._rows: list[list[_Row]] | None = None
+        # block i: |Delta_N f| on its points * 2^doublings angles, sampled at
+        # the first p != 2, and its class sums per exponent
+        self._grids: list[np.ndarray] | None = None
+        self._sums: list[dict[float, list[float]]] = [{} for _ in self.Ns]
         self._doublings = [0] * len(self.Ns)
 
     def norms(self, p: float) -> tuple[np.ndarray, float]:
@@ -189,105 +198,74 @@ class _BlockEngine:
         if p == 2:
             values = np.array([np.sqrt(np.vdot(b, b).real) for b in self._blocks])
             return values, (max(self.Ns) + 2) * _UNIT_ROUNDOFF
-        if self._rows is None:
-            self._rows = [
-                [_Row(_abs_samples(b, n), half=np.isrealobj(b))]
-                for b, n in zip(self._blocks, self._points)
-            ]
+        if self._grids is None:
+            self._grids = [_abs_samples(b, n) for b, n in zip(self._blocks, self._points)]
         values = np.empty(len(self.Ns))
         worst = 0.0
-        for i in range(len(self.Ns)):
+        for i, block in enumerate(self._blocks):
+            if p not in self._sums[i]:
+                self._sums[i][p] = _strided_sums(self._grids[i] ** p, np.isrealobj(block))
             while True:
-                sums = self._class_sums(i, p)
-                count = len(self._rows[i]) * self._points[i]
+                sums = self._sums[i][p]
+                count = self._points[i] << self._doublings[i]
                 fine = (sum(sums) / count) ** (1.0 / p)
                 coarse = [(x / (count // 4)) ** (1.0 / p) for x in sums]
                 delta = max(abs(c - fine) for c in coarse) / max(fine, np.finfo(float).tiny)
                 if delta <= REFINEMENT_FLAG or self._doublings[i] == _BLOCK_DOUBLINGS:
                     break
-                self._doublings[i] += 1
                 self._double(i)
             values[i] = fine
             worst = max(worst, delta)
         return values, worst
 
-    def _class_sums(self, i: int, p: float) -> list[float]:
-        """Sums of |Delta_N f|^p over the fine-grid angles k = j mod 4, j = 0..3.
-
-        Angle k = q F + r of the fine grid is entry q of row r, so the
-        entries q = m mod 4 of row r lie in class (m F + r) mod 4.
-        """
-        rows = self._rows[i]
-        sums = [0.0] * 4
-        for r, row in enumerate(rows):
-            for m, x in enumerate(row.quarter_sums(p)):
-                sums[(m * len(rows) + r) % 4] += x
-        return sums
-
     def _double(self, i: int) -> None:
-        """Twice the grid: each row r becomes row 2r, and the new row 2r + 1
-        is shifted by half a step of the old fine grid. For a real block,
-        new row k past F mirrors row 2F - k, which the loop has made."""
-        rows = self._rows[i]
-        F = len(rows)
-        block, points = self._blocks[i], self._points[i]
+        """Twice the grid of block i, and the class sums of every exponent."""
+        block, P, grid = self._blocks[i], self._points[i], self._grids[i]
         real = np.isrealobj(block)
-        step = np.pi / (F * points)
-        new = []
-        for r, row in enumerate(rows):
-            k = 2 * r + 1
-            if real and k > F:
-                src = new[2 * F - k]
-                new += [row, _Row(src.samples[::-1], mirror=src)]
-            else:
-                new += [row, _Row(_abs_samples(block, points, k * step))]
-        self._rows[i] = new
+        F = 1 << self._doublings[i]
+        L = F * P
+        sampled = max(F // 2, 1) if real else F
+        rows = _abs_samples(block, P, np.arange(1, 2 * sampled, 2) * (np.pi / L))
+        if sampled < F:
+            rows = np.concatenate([rows, rows[::-1, ::-1]])
+        # the new samples in angle order; a real block keeps those below L
+        fill = rows[:, : P // 2 if real else P].T.ravel()
+        out = np.empty(len(grid) + len(fill))
+        out[0::2] = grid
+        out[1::2] = fill
+        self._grids[i] = out
+        self._doublings[i] += 1
+        for p, (s0, s1, s2, s3) in self._sums[i].items():
+            w = fill**p
+            odd = [float(np.sum(w))] * 2 if real else [float(np.sum(w[j::2])) for j in (0, 1)]
+            self._sums[i][p] = [s0 + s2, odd[0], s1 + s3, odd[1]]
 
 
-class _Row:
-    """One row of a block's grid: its |Delta_N f| samples, with their sums of
-    |Delta_N f|^p over the entries q = m mod 4, m = 0..3, kept per
-    exponent. A half row holds entries q = 0 .. P/2 of a row whose entry
-    P - q equals entry q. A mirrored row is the reverse of row `mirror`
-    and takes its sums from it."""
+def _strided_sums(w: np.ndarray, real: bool) -> list[float]:
+    """Sums of w over the angles k = j mod 4, j = 0..3, of a block's grid.
 
-    def __init__(self, samples: np.ndarray, half: bool = False, mirror: _Row | None = None):
-        self.samples, self._half, self._mirror = samples, half, mirror
-        self._sums: dict[float, tuple[float, ...]] = {}
-
-    def quarter_sums(self, p: float) -> tuple[float, ...]:
-        sums = self._sums.get(p)
-        if sums is None:
-            if self._mirror is not None:
-                # entry q is entry P - 1 - q of the mirror, and P = 0 mod 4
-                sums = self._mirror.quarter_sums(p)[::-1]
-            elif self._half:
-                # 0 and P/2 = 0 mod 4 stand once, and P - q = -q mod 4
-                w = self.samples**p
-                h = len(w) - 1
-                odd = float(np.sum(w[1:h:2]))
-                sums = (
-                    2.0 * float(np.sum(w[0:h:4])) - float(w[0]) + float(w[h]),
-                    odd,
-                    2.0 * float(np.sum(w[2:h:4])),
-                    odd,
-                )
-            else:
-                w = self.samples**p
-                sums = tuple(float(np.sum(w[m::4])) for m in range(4))
-            self._sums[p] = sums
-        return sums
-
-
-def _abs_samples(block: np.ndarray, points: int, shift: float = 0.0) -> np.ndarray:
-    """|sum_k b_k e^{i k (theta_j + shift)}| on `points` equispaced angles theta_j.
-
-    A real block with no shift samples |B(-theta)| = |B(theta)|, so only
-    j = 0 .. points // 2 are returned, from one real-input FFT (np.fft.rfft
-    samples the angles -theta_j, which give the same values).
+    A real block's w holds entries 0 .. L/2 of L; entry L - k equals entry
+    k, 0 and L/2 = 0 mod 4 stand once, and L - k = -k mod 4.
     """
-    if shift:
-        block = block * np.exp(1j * shift * np.arange(len(block)))
+    if not real:
+        return [float(np.sum(w[j::4])) for j in range(4)]
+    h = len(w) - 1
+    odd = float(np.sum(w[1:h:2]))
+    zero = 2.0 * float(np.sum(w[0:h:4])) - float(w[0]) + float(w[h])
+    return [zero, odd, 2.0 * float(np.sum(w[2:h:4])), odd]
+
+
+def _abs_samples(block: np.ndarray, points: int, shifts: np.ndarray | None = None) -> np.ndarray:
+    """|sum_k b_k e^{i k (theta_j + s)}| on `points` equispaced angles theta_j,
+    one row for each shift s, from one batched FFT.
+
+    With no shifts it samples the unshifted angles as one row. A real block
+    then samples |B(-theta)| = |B(theta)|, so only j = 0 .. points // 2 are
+    returned, from one real-input FFT (np.fft.rfft samples the angles
+    -theta_j, which give the same values).
+    """
+    if shifts is not None:
+        block = block * np.exp(1j * np.outer(shifts, np.arange(len(block))))
     elif np.isrealobj(block):
         return np.abs(np.fft.rfft(block, n=points))
     out = np.abs(np.fft.ifft(block, n=points))

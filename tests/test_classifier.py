@@ -78,9 +78,10 @@ def test_p_above_two_realizes_and_samples_once(monkeypatch):
         calls["values"] += 1
         return values(self)
 
-    def counted_sample(block, points, shift=0.0):
-        calls["sizes"].append((len(block), points, shift))
-        return sample(block, points, shift)
+    def counted_sample(block, points, shifts=None):
+        for shift in [0.0] if shifts is None else shifts.tolist():
+            calls["sizes"].append((len(block), points, shift))
+        return sample(block, points, shifts)
 
     monkeypatch.setattr(rhalyop.SequenceSpec, "values", counted_values)
     monkeypatch.setattr(norms, "_abs_samples", counted_sample)
@@ -192,6 +193,15 @@ def test_h1_diagnostics():
 
     with pytest.raises(ValueError):
         h1_necessary(SequenceSpec.cesaro(4096), (8, 12))
+
+
+@pytest.mark.parametrize("Ns", [[8], [], 8, [8, 8], [16, 8]])
+def test_h1_refuses_fewer_than_two_increasing_block_sizes(Ns):
+    """Check (c) compares the partial-sum norms at the two largest Ns, taken
+    as the last two; one N has no pair, and [8, 8] would read a change of 0
+    as convergence."""
+    with pytest.raises(ValueError, match="at least two block sizes, increasing"):
+        h1_necessary(SequenceSpec.cesaro(1023), Ns)
 
 
 def test_h1_flags_upsilon(upsilon_spec):

@@ -551,7 +551,7 @@ def test_block_norms_at_p2_are_parseval_within_the_stated_bound(kind):
 @pytest.mark.parametrize("kind, seed", [("signed", 1), ("signed", 2), ("geometric", 3)])
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
 def test_real_blocks_match_their_complex_rotation(kind, seed, p):
-    """A real series takes the half-circle rows and the mirrored doublings;
+    """A real series takes the half-circle grid and the mirrored doublings;
     turned by e^{i pi/4} it takes the complex path. Both give the same
     values and deltas within a few u, after the same doublings."""
     c = _block_series(kind, seed)
@@ -566,7 +566,7 @@ def test_real_blocks_match_their_complex_rotation(kind, seed, p):
 @pytest.mark.parametrize("doublings", range(norms._BLOCK_DOUBLINGS + 1))
 def test_real_blocks_match_their_complex_rotation_after_each_doubling(monkeypatch, doublings):
     """With no block ever resolved, every block takes exactly the doubling
-    budget, so rows 0 .. 2^doublings - 1, mirrored ones included, are read."""
+    budget, so every odd-angle fill, mirrored rows included, is read."""
     monkeypatch.setattr(norms, "REFINEMENT_FLAG", -1.0)
     monkeypatch.setattr(norms, "_BLOCK_DOUBLINGS", doublings)
     c = _block_series("signed", 4, 511)
@@ -579,30 +579,35 @@ def test_real_blocks_match_their_complex_rotation_after_each_doubling(monkeypatc
         assert abs(da - db) <= 64 * U
 
 
-def test_real_block_rows_are_the_rows_at_their_shifts(monkeypatch):
-    """After the full doubling budget, row k of a real block, sampled or
-    mirrored, is |Delta_N f| on the starting grid shifted by k fine steps,
-    and its sums over the entries q = m mod 4 are those of that row; the
-    starting row holds its first P/2 + 1 entries. From four rows on a row
-    meets one class only, so the norms alone would not see a mirrored row
-    whose sums are in the wrong order."""
+def test_block_grids_and_class_sums_are_the_direct_ones(monkeypatch):
+    """After d = 0 .. _BLOCK_DOUBLINGS doublings, the grid of every block of
+    a real series and of its e^{i pi/4} rotation is |Delta_N f| sampled
+    directly on its P 2^d angles, in angle order, entries 0 .. L/2 of the L
+    angles for the real one. The class sums of an exponent asked before the
+    doublings and of one asked after them are the direct sums over every
+    fourth angle. A real grid whose mirrored rows are not reversed, or any
+    grid whose rows are not read in transposed order, differs from the
+    direct samples from two doublings on."""
     monkeypatch.setattr(norms, "REFINEMENT_FLAG", -1.0)
     c = _block_series("signed", 6, 511)
     Ns = 2 ** np.arange(1, 9)
-    engine = norms._BlockEngine(c, Ns)
-    engine.norms(1.5)
-    for i, N in enumerate(Ns):
-        rows, P = engine._rows[i], engine._points[i]
-        F = len(rows)
-        assert F == 2**norms._BLOCK_DOUBLINGS
-        block = c[N : 2 * N].astype(complex)
-        for k, row in enumerate(rows):
-            expected = norms._abs_samples(block, P, 2 * np.pi * k / (F * P))
-            sums = [np.sum(expected[m::4] ** 1.5) for m in range(4)]
-            if k == 0:
-                expected = expected[: P // 2 + 1]
-            assert np.max(np.abs(row.samples - expected)) <= 64 * U * np.max(expected)
-            assert np.allclose(row.quarter_sums(1.5), sums, rtol=64 * U, atol=0)
+    for d in range(norms._BLOCK_DOUBLINGS + 1):
+        for coeffs in (c, c * np.exp(0.25j * np.pi)):
+            engine = norms._BlockEngine(coeffs, Ns)
+            monkeypatch.setattr(norms, "_BLOCK_DOUBLINGS", 0)
+            engine.norms(1.5)
+            monkeypatch.setattr(norms, "_BLOCK_DOUBLINGS", d)
+            engine.norms(3.0)
+            assert engine._doublings == [d] * len(Ns)
+            for i, N in enumerate(Ns):
+                L = engine._points[i] << d
+                direct = L * np.abs(np.fft.ifft(coeffs[N : 2 * N], n=L))
+                grid = engine._grids[i]
+                assert len(grid) == (L // 2 + 1 if np.isrealobj(engine._blocks[i]) else L)
+                assert np.max(np.abs(grid - direct[: len(grid)])) <= 64 * U * np.max(direct)
+                for p in (1.5, 3.0):
+                    sums = [math.fsum(direct[j::4] ** p) for j in range(4)]
+                    assert np.allclose(engine._sums[i][p], sums, rtol=64 * U, atol=0)
 
 
 def test_block_engine_samples_only_for_p_other_than_two(monkeypatch):
