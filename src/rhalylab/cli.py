@@ -171,19 +171,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_opnorm(args) -> int:
-    """The l2 section norm at p = 2, where --trunc is the section size N; at
-    other p a lower bound from a deterministic candidate family, which reads
-    neither a seed nor N."""
+    """The l2 section norm at p = 2, bracketed, where --trunc is the section
+    size N; at other p a lower bound from a deterministic candidate family,
+    which does not read N. Neither draws anything, so neither takes a seed."""
     data = _read_json_arg(args.spec)
     if args.p == 2.0:
         own = isinstance(data, dict) and "truncation" in data
         spec = _load_spec(data, None if own else args.trunc)
         N = args.trunc if args.trunc is not None else spec.truncation + 1
-        seed = args.seed if args.seed is not None else 0
-        est = opnorm_h2(spec, N, seed=seed)
-        config = _config(args, N=N, seed=seed)
-    elif args.seed is not None:
-        raise ValueError("--seed is read only at --p 2")
+        est = opnorm_h2(spec, N)
+        config = _config(args, N=N)
     else:
         est = opnorm_lower_hp(_load_spec(data, args.trunc), args.p)
         config = _config(args)
@@ -264,7 +261,6 @@ _FLAGS = {
     "trunc": dict(type=int),
     "out": dict(),
     "grid-J": dict(dest="grid_J", type=int),
-    "seed": dict(type=int),
 }
 
 #: (name, handler, help, flags read, --space choices); the first choice is
@@ -277,7 +273,7 @@ _SUBCOMMANDS = (
     ("classify", cmd_classify, "boundedness/compactness verdict",
      ("spec", "p", "alpha", "trunc", "out"), ("hardy", "bergman")),
     ("opnorm", cmd_opnorm, "operator norm estimate (section or lower bound)",
-     ("spec", "p", "trunc", "out", "seed"), ()),
+     ("spec", "p", "trunc", "out"), ()),
     ("counterexample", cmd_counterexample, "sign-series counterexample generator",
      ("p", "out", "grid-J"), ()),
     ("basis-check", cmd_basis_check, "polygonal kernel bound check",

@@ -21,7 +21,7 @@ from .errors import MalformedSpec, NotMonotone, TruncationMismatch
 from .lipschitz import fit_tail_slope
 # hp_norm is bound here only for the benchmark tracer's binding test; the
 # estimates below take their H^p norms from hp_norms
-from .norms import hp_norm, hp_norms
+from .norms import _UNIT_ROUNDOFF, REFINEMENT_FLAG, hp_norm, hp_norms
 
 
 @dataclass(frozen=True)
@@ -287,10 +287,12 @@ class OpNormEstimate:
     #: worst refinement delta of the H^p norms behind ``lower``; 0.0 for the
     #: section norm, which takes none
     refinement_delta: float = 0.0
+    upper: float | None = None  # rigorous, where one exists; None for FamilySearch
 
     def to_json(self) -> dict:
         return {
             "lower": self.lower,
+            "upper": self.upper,
             "method": self.method,
             "iterations": self.iterations,
             "residual": self.residual,
@@ -378,16 +380,22 @@ class TruncatedRhaly:
 # --- l2 operator norm via matrix-free power iteration -------------------
 
 
-# Power iteration keeps plain np.cumsum rather than the compensated
-# prefix_sums kernel: the iteration does not accumulate matvec rounding. On
-# Cesaro sections, running both passes on the compensated kernel left the
+# R_N = diag(eta) L, L the all-ones lower triangle, so ||R_N||^2 is the top
+# eigenvalue of A = R_N^* R_N = L^T diag(|eta|^2) L, whose entries
+# A_jk = sum_{n >= max(j, k)} |eta_n|^2 are >= 0 whatever the signs and
+# phases of eta. If eta_m is its last nonzero entry, A is positive on
+# 0..m and zero elsewhere, so by Perron-Frobenius (Horn and Johnson,
+# *Matrix Analysis*, 2nd ed., ch. 8) its top eigenvector is positive on
+# 0..m: power iteration from the all-ones vector cannot miss the top, and
+# needs no restart. Its iterates v are >= 0, positive exactly on 0..m, and
+# max_i (A v)_i / v_i over those i (Collatz-Wielandt) bounds the top
+# eigenvalue from above, as v.Av / v.v does from below.
+# The passes use plain np.cumsum, not the compensated prefix_sums kernel:
+# the iteration does not accumulate matvec rounding, and every sum has
+# nonnegative terms. On Cesaro sections, the compensated kernel left the
 # iteration counts unchanged and moved the norm by at most 7e-16, while
 # running about 3x slower (6.9 -> 20.5 ms at N=4096, 147 -> 423 ms at
 # N=65536, one core of a 2-core Xeon).
-def _section_matvec(eta_vals: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return eta_vals * np.cumsum(v)
-
-
 def _section_rmatvec(conj_eta: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The adjoint section applied to v, from conj(eta)."""
     return np.cumsum((conj_eta * v)[::-1])[::-1]
@@ -400,65 +408,59 @@ _POWER_TOL = 1e-13
 
 
 def opnorm_h2(eta: SequenceSpec, N: int, seed: int = 0) -> OpNormEstimate:
-    """Largest singular value of the N x N lower-triangular section.
+    """||R_N||, the norm of the N x N lower-triangular section, bracketed.
 
-    Power iteration on (adjoint o operator); both passes are O(N). Starts
-    from the all-ones vector with one seeded random restart; the better
-    Rayleigh quotient wins. A real section (every eta_n real, as for every
-    spec kind but "literal") iterates in float64 from real starts; a
-    complex one in complex arithmetic.
+    One float64 power iteration on A = R_N^* R_N from the all-ones vector
+    (see the comment above); A v, the suffix sums of |eta_n|^2 times the
+    prefix sums of v, costs O(N). It stops when the Rayleigh quotient moves
+    by less than ``_POWER_TOL`` relative, or after ``_POWER_MAX_ITER``
+    steps. Every eta takes this path, and the witness v, the last iterate,
+    is real and >= 0. ``seed`` is accepted and ignored: nothing is drawn.
+
+    ``lower`` is (v.Av / v.v)^{1/2}, and ``upper`` the square root of the
+    largest (A v)_i / v_i over v_i > 0 times 1 + (2N + 3)u, u = 2^-53
+    (infinite if some (A v)_i > 0 has v_i = 0). eta is first scaled by a
+    power of two, which rounds nothing, to a largest modulus in [1/2, 1).
+    To first order in u, |eta_n|^2 is within 2u, and each (A v)_i, a sum of
+    nonnegative terms through N - 1 additions, one product and N - 1 more
+    additions, within (2N + 1)u. The quotient adds u, the square root
+    halves the (2N + 2)u and adds u, and the allowance's product adds u:
+    (N + 3)u. The stated (2N + 3)u, at least (2N + 2)u once 1 + (2N + 3)u
+    is rounded, covers that and the second-order terms, barring underflow.
+    ``converged`` needs a stall within the budget and
+    upper - lower <= REFINEMENT_FLAG * lower.
     """
     if N > eta.truncation + 1:
         raise TruncationMismatch(f"N={N} exceeds truncation+1 {eta.truncation + 1}")
     ev = eta.values()[:N]
-    if not np.any(ev.imag):
-        ev = ev.real.copy()
-    if not np.any(ev):
-        return OpNormEstimate(
-            lower=0.0,
-            method="PowerIteration",
-            witness=CoeffSeq(np.ones(N, dtype=complex) / np.sqrt(N)),
-            iterations=0,
-            residual=0.0,
-        )
-    conj_ev = np.conj(ev)
-
-    def run(v0: np.ndarray):
-        v = v0 / np.linalg.norm(v0)
-        rho_prev = -1.0
-        iters = 0
-        for iters in range(1, _POWER_MAX_ITER + 1):
-            u = _section_rmatvec(conj_ev, _section_matvec(ev, v))
-            rho = float(np.real(np.vdot(v, u)))
-            nrm = np.linalg.norm(u)
-            if nrm == 0.0:
-                return v, 0.0, iters, True
-            v_next = u / nrm
-            if abs(rho - rho_prev) < _POWER_TOL * max(rho, 1e-300):
-                return v_next, rho, iters, True
-            rho_prev = rho
-            v = v_next
-        return v, rho_prev, _POWER_MAX_ITER, False
-
-    rng = np.random.default_rng(seed)
-    starts = [np.ones(N, dtype=ev.dtype), rng.standard_normal(N).astype(ev.dtype)]
-    best = None
-    for v0 in starts:
-        v, rho, iters, ok = run(v0)
-        if best is None or rho > best[1]:
-            best = (v, rho, iters, ok)
-    v, rho, iters, ok = best
-    Av = _section_matvec(ev, v)
-    lower = float(np.linalg.norm(Av) / np.linalg.norm(v))
-    u = _section_rmatvec(conj_ev, Av)
-    residual = float(np.linalg.norm(u - rho * v) / max(rho, 1e-300))
+    v = np.full(N, 1.0 / math.sqrt(N))
+    top = float(np.max(np.abs(ev)))
+    if top == 0.0:
+        return OpNormEstimate(0.0, "PowerIteration", CoeffSeq(v), 0, 0.0, upper=0.0)
+    e = math.frexp(top)[1]
+    w = np.ldexp(ev.real, -e) ** 2 + np.ldexp(ev.imag, -e) ** 2
+    rho_prev, stalled = -1.0, False
+    for iters in range(1, _POWER_MAX_ITER + 1):
+        u = _section_rmatvec(w, np.cumsum(v))
+        rho = float(np.dot(v, u))
+        v = u / math.sqrt(np.dot(u, u))
+        if abs(rho - rho_prev) < _POWER_TOL * rho:
+            stalled = True
+            break
+        rho_prev = rho
+    u = _section_rmatvec(w, np.cumsum(v))
+    lower = math.ldexp(math.sqrt(np.dot(v, u) / np.dot(v, v)), e)
+    pos = v > 0
+    cw = math.inf if np.any(u[~pos]) else float(np.max(u[pos] / v[pos]))
+    upper = math.ldexp(math.sqrt(cw) * (1.0 + (2 * N + 3) * _UNIT_ROUNDOFF), e)
     return OpNormEstimate(
         lower=lower,
         method="PowerIteration",
         witness=CoeffSeq(v),
         iterations=iters,
-        residual=residual,
-        converged=ok,
+        residual=float(np.linalg.norm(u - rho * v) / rho),
+        converged=stalled and upper - lower <= REFINEMENT_FLAG * lower,
+        upper=upper,
     )
 
 

@@ -249,21 +249,23 @@ def criterion_6() -> CriterionResult:
     against dense SVD at N=64 and 256 and, at N=1024 and 4096, against
     ARPACK Lanczos bidiagonalization (scipy svds) on a LinearOperator whose
     matvec is written here from the definition v -> eta_n sum_{k<=n} v_k.
+    Each bracket [lower, upper] must hold its oracle within 1e-12 relative.
 
     An earlier form of this criterion required the N=4096 value to be at
     least 1.8. The norm of that section is below 1.8: dense LAPACK SVD gives
-    1.7947759186163763 and svds 1.7947759186163754. The sections first
-    exceed 1.8 at N=8192 (1.8132), beyond the declared truncation 4095.
+    1.7947759186163763, svds 1.7947759186163754, and its upper bound is
+    1.7947760077. The sections first exceed 1.8 at N=8192 (1.8132), beyond
+    the declared truncation 4095.
     """
     eta = SequenceSpec.cesaro(4095)
     checks = []
-    values = {}
-    for N in (64, 256, 1024, 4096):
-        values[N] = opnorm_h2(eta, N).lower
+    ests = {N: opnorm_h2(eta, N) for N in (64, 256, 1024, 4096)}
+    values = {N: est.lower for N, est in ests.items()}
+    oracles = {}
     for N in (64, 256):
         ev = eta.values()[:N].real
         dense = np.tril(np.tile(ev[:, None], (1, N)))
-        oracle = float(np.linalg.svd(dense, compute_uv=False)[0])
+        oracle = oracles[N] = float(np.linalg.svd(dense, compute_uv=False)[0])
         checks.append(
             _check(
                 f"svd_oracle_N={N}",
@@ -280,7 +282,7 @@ def criterion_6() -> CriterionResult:
             dtype=float,
         )
         # fixed start vector: ARPACK otherwise starts from a random one
-        oracle = float(
+        oracle = oracles[N] = float(
             svds(section, k=1, v0=np.ones(N), return_singular_vectors=False)[0]
         )
         gap = abs(values[N] - oracle)
@@ -291,6 +293,11 @@ def criterion_6() -> CriterionResult:
                 f"power={values[N]:.15g} svds={oracle:.15g} gap={gap:.3g}",
             )
         )
+    for N, oracle in oracles.items():
+        lo, hi = ests[N].lower, ests[N].upper
+        checks.append(_check(f"bracket_holds_oracle_N={N}",
+                             lo * (1.0 - 1e-12) <= oracle <= hi * (1.0 + 1e-12),
+                             f"[{lo:.11g}, {hi:.11g}] oracle={oracle:.11g}"))
     seq = [values[N] for N in (64, 256, 1024, 4096)]
     checks.append(
         _check(

@@ -195,12 +195,13 @@ def test_h1_diagnostics():
         h1_necessary(SequenceSpec.cesaro(4096), (8, 12))
 
 
-@pytest.mark.parametrize("Ns", [[8], [], 8, [8, 8], [16, 8]])
+@pytest.mark.parametrize("Ns", [[8], [], 8, [8, 8], [16, 8], [8, 16], [8, 16, 32]])
 def test_h1_refuses_fewer_than_two_increasing_block_sizes(Ns):
     """Check (c) compares the partial-sum norms at the two largest Ns, taken
     as the last two; one N has no pair, and [8, 8] would read a change of 0
-    as convergence."""
-    with pytest.raises(ValueError, match="at least two block sizes, increasing"):
+    as convergence. The trends of checks (a) and (b) need four Ns: Cesaro,
+    bounded on H^1, reads NotBounded on [8, 16] and on [8, 16, 32]."""
+    with pytest.raises(ValueError, match="at least four block sizes, increasing"):
         h1_necessary(SequenceSpec.cesaro(1023), Ns)
 
 

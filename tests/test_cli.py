@@ -65,31 +65,28 @@ def test_opnorm_matches_svd(capsys):
     assert abs(lower - oracle) < 1e-8
 
 
-def test_seed_is_an_opnorm_option_only(capsys):
-    code, out, _ = run_cli(
-        capsys, "opnorm", "--spec", '{"kind":"cesaro","truncation":63}', "--p", "2",
-        "--seed", "5",
-    )
-    assert code == 0
-    assert json.loads(out)["run_config"]["seed"] == 5
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["classify", "--spec", "[1]", "--seed", "1"])
-    assert exc.value.code == 2
+def test_no_subcommand_reads_a_seed(capsys):
+    """Nothing the CLI runs draws at random, so --seed is a usage error
+    everywhere, opnorm at every p included."""
+    for argv in (["opnorm", "--spec", '{"kind":"cesaro","truncation":63}', "--p", "2"],
+                 ["opnorm", "--spec", '{"kind":"cesaro","truncation":63}', "--p", "1.5"],
+                 ["classify", "--spec", "[1]"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
-def test_opnorm_records_seed_and_N_only_at_p2(capsys):
-    """The H^p lower bound reads neither a seed nor N, so it records neither
-    and refuses --seed; the section norm records both, seed 0 by default."""
+def test_opnorm_records_N_only_at_p2(capsys):
+    """The H^p lower bound does not read N, so it records only p; the
+    section norm records N, and no run_config records a seed."""
     spec = '{"kind":"cesaro","truncation":63}'
     code, out, _ = run_cli(capsys, "opnorm", "--spec", spec, "--p", "1.5")
     assert code == 0
     assert json.loads(out)["run_config"] == {"command": "opnorm", "p": 1.5}
-    code, out, err = run_cli(capsys, "opnorm", "--spec", spec, "--p", "1.5", "--seed", "1")
-    assert (code, out) == (2, "")
-    assert "--seed" in err
     code, out, _ = run_cli(capsys, "opnorm", "--spec", spec, "--p", "2")
     assert code == 0
-    assert json.loads(out)["run_config"] == {"command": "opnorm", "p": 2.0, "N": 64, "seed": 0}
+    assert json.loads(out)["run_config"] == {"command": "opnorm", "p": 2.0, "N": 64}
 
 
 def test_trunc_equal_to_the_spec_truncation_is_read(capsys):
@@ -127,7 +124,7 @@ READING_ARGVS = {
                  "--alpha", "0.5", "--grid-J", "6"],),
     "classify": (["--spec", SPEC, "--space", "bergman", "--p", "2", "--alpha", "1",
                   "--trunc", "255"],),
-    "opnorm": (["--spec", SPEC, "--p", "2", "--trunc", "16", "--seed", "3"],),
+    "opnorm": (["--spec", SPEC, "--p", "2", "--trunc", "16"],),
     "counterexample": (["--p", "1.5", "--grid-J", "3"],),
     "basis-check": (["--spec", PROFILE, "--trunc", "8"],),
     "suite": ([],),
@@ -139,10 +136,10 @@ def _subparsers() -> dict:
     return action.choices
 
 
-def test_subparsers_hold_31_flags():
+def test_subparsers_hold_30_flags():
     flags = [a for sp in _subparsers().values() for a in sp._actions
              if a.option_strings and a.dest != "help"]
-    assert len(flags) == 31
+    assert len(flags) == 30
 
 
 @pytest.mark.parametrize("command", sorted(READING_ARGVS))

@@ -43,7 +43,7 @@ OBJECTS = {
     "opnorm_h2": lambda: opnorm_h2(SequenceSpec.cesaro(63), 64).to_json(),
     "opnorm_lower_hp": lambda: opnorm_lower_hp(SequenceSpec.cesaro(63), 1.5).to_json(),
     "verdict_p3": lambda: classify_hardy(POWER_LAW, 3.0).to_json(),
-    "verdict_h1": lambda: h1_necessary(SequenceSpec.cesaro(1023), [64, 128, 256]).to_json(),
+    "verdict_h1": lambda: h1_necessary(SequenceSpec.cesaro(1023), [32, 64, 128, 256]).to_json(),
     "block_profile": lambda: block_profile(
         CoeffSeq.log_one_over_one_minus_z(255), 2.0, 0.5, 6
     ).sidecar_json("BigLambda"),

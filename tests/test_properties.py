@@ -1,5 +1,6 @@
 """Property tests for the operator kernel (compensated prefix sums against
-math.fsum, the adjoint identity, linearity) and for the circle quadratures
+math.fsum, the adjoint identity, linearity), for the bracket of the l2
+section norm (against a dense SVD) and for the circle quadratures
 (block norms against a direct trigonometric sum, invariance of a block norm
 under a shift, integral means nondecreasing in the radius)."""
 
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from rhalylab import coeffcore
 from rhalylab.coeffcore import CoeffSeq, prefix_sums
 from rhalylab.norms import _BlockEngine, mean_mp
-from rhalylab.rhalyop import SequenceSpec, _section_rmatvec, apply_rhaly
+from rhalylab.rhalyop import SequenceSpec, _section_rmatvec, apply_rhaly, opnorm_h2
 
 U = 2.0**-53
 #: underflow of one product is absolute, up to half of this (Higham, sec. 2.1)
@@ -113,6 +114,38 @@ def test_apply_is_linear(eta, alpha, beta, fg):
     n = np.arange(1, len(f) + 1)
     underflow = 8 * (ev * n + abs(alpha) + abs(beta) + 2) * TINY
     assert np.all(np.abs(lhs - rhs) <= 32 * U * scale + underflow)
+
+
+#: entries of a literal eta: zero, or of modulus in [1e-3, 1e3], so that no
+#: |eta_n|^2 or product of the section norm underflows
+eta_parts = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def literal_sections(draw):
+    """A literal eta of length 2 <= N <= 256, real or complex, whose last
+    entries may be zero."""
+    N = draw(st.integers(2, 256))
+    eta = draw(arrays(float, N, elements=eta_parts)).astype(complex)
+    if draw(st.booleans()):
+        eta += 1j * draw(arrays(float, N, elements=eta_parts))
+    eta[N - draw(st.integers(0, N - 1)) :] = 0
+    return eta
+
+
+@settings(max_examples=60, deadline=None)
+@given(literal_sections())
+@example(np.array([1.0, 0.0, 0.0]))
+@example(np.array([1e-3, 1e3, 0.0, 0.0]) * np.exp(0.3j))
+def test_section_norm_bracket_contains_dense_svd(eta):
+    """opnorm_h2's [lower, upper] holds the dense SVD value, up to the
+    rounding of the SVD, and closes to REFINEMENT_FLAG."""
+    N = len(eta)
+    est = opnorm_h2(SequenceSpec.literal(eta), N)
+    sigma = float(np.linalg.svd(np.tril(np.repeat(eta[:, None], N, axis=1)),
+                                compute_uv=False)[0])
+    assert est.lower * (1.0 - 1e-12) <= sigma <= est.upper * (1.0 + 1e-12), (est, sigma)
+    assert est.converged, est
 
 
 # --- circle quadratures ----------------------------------------------------

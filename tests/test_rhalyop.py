@@ -235,8 +235,10 @@ def test_opnorm_h2_trivial_cases():
     e0 = SequenceSpec.literal([1.0] + [0.0] * 7)
     est = opnorm_h2(e0, 8)
     assert abs(est.lower - 1.0) < 1e-12
+    assert est.lower <= 1.0 <= est.upper
     zeros = SequenceSpec.literal(np.zeros(8))
-    assert opnorm_h2(zeros, 8).lower == 0.0
+    est = opnorm_h2(zeros, 8)
+    assert est.lower == est.upper == 0.0 and est.converged
 
 
 def test_opnorm_h2_witness_reproduces_lower():
@@ -315,20 +317,42 @@ REAL_SECTIONS = [
 
 @pytest.mark.parametrize("eta", REAL_SECTIONS, ids=lambda eta: eta.kind)
 def test_opnorm_h2_real_path_matches_complex_rotation_and_svd(eta):
-    """A real eta iterates in float64. Turning eta by e^{i phi} keeps the
-    singular values and takes the complex path; both agree, and match the
-    dense SVD. The real witness has no imaginary part, not even -0.0."""
+    """R_N^* R_N depends on |eta| only, so eta, eta turned by e^{i phi}, the
+    conjugate of that and eta with some signs flipped give the same lower and
+    upper bounds, and match the dense SVD. Every witness is real and >= 0,
+    with no imaginary part, not even -0.0. The seed is ignored."""
     N = eta.truncation + 1
     est = opnorm_h2(eta, N, seed=4)
     ev = eta.values()
     turned = opnorm_h2(SequenceSpec.literal(ev * np.exp(0.7j)), N, seed=4)
-    assert np.any(turned.witness.coeffs.imag)
+    variants = [
+        turned,
+        opnorm_h2(SequenceSpec.literal(np.conj(ev * np.exp(0.7j))), N),
+        opnorm_h2(SequenceSpec.literal(ev * np.resize([1, -1, -1, 1, -1], N)), N),
+    ]
+    for other in variants:
+        assert abs(other.lower - est.lower) <= 1e-13 * est.lower
+        assert abs(other.upper - est.upper) <= 1e-13 * est.upper
     assert abs(est.lower - turned.lower) <= 1e-12 * turned.lower
     sigma = np.linalg.svd(np.tril(np.repeat(ev.real[:, None], N, axis=1)), compute_uv=False)[0]
     assert abs(est.lower - sigma) <= 1e-10 * sigma
-    imag = est.witness.coeffs.imag
-    assert not np.any(imag) and not np.any(np.signbit(imag))
+    for e in (est, *variants):
+        imag = e.witness.coeffs.imag
+        assert not np.any(imag) and not np.any(np.signbit(imag))
+        assert np.all(e.witness.coeffs.real >= 0)
     assert est.refinement_delta == 0.0
+    assert opnorm_h2(eta, N, seed=5) == est
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_opnorm_h2_is_exact_under_power_of_two_scaling(k):
+    """eta is first scaled to a largest modulus in [1/2, 1), so 2^k eta
+    gives 2^k times the bracket bit for bit, also where |eta_n|^2 itself
+    would underflow (to a norm of 0) or overflow."""
+    est = opnorm_h2(SequenceSpec.cesaro(255), 256)
+    scaled = opnorm_h2(SequenceSpec.literal(SequenceSpec.cesaro(255).values() * 2.0**k), 256)
+    assert (scaled.lower, scaled.upper) == (est.lower * 2.0**k, est.upper * 2.0**k)
+    assert scaled.witness == est.witness and scaled.converged
 
 
 def _lower_hp_reference(eta, p, family, seed):
